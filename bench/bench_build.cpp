@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
         // Serial reference builder, for the parallel-pipeline-vs-reference
         // overhead (and the differential tests' oracle cost).
         snap::BuildOptions serial_opts;
-        serial_opts.path = snap::BuildPath::kSerial;
+        serial_opts.path = snap::ExecPath::kSerial;
         timer.reset();
         const snap::CSRGraph gs = snap::CSRGraph::from_edges(
             inst.n, edges, inst.directed, serial_opts);

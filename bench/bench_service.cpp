@@ -184,6 +184,9 @@ ReplayResult run_replay(vid_t n, const std::vector<std::string>& bodies,
   const HttpResult res = writer.request("GET", "/stats");
   if (res.ok() && snap::json::parse(res.body, &stats, nullptr))
     out.edges = stats.get("num_edges").as_int64();
+  // Hang up first: stop() joins the worker serving this keep-alive
+  // connection, which would otherwise sit in recv() until its idle timeout.
+  writer.close();
   server.stop();
   return out;
 }

@@ -13,10 +13,6 @@
 namespace snap {
 namespace {
 
-/// Below this many vertices the parallel sweep's fork/join costs more than
-/// the sweep itself (kAuto cutoff).
-constexpr vid_t kParallelCutoff = 1 << 12;
-
 /// Per-worker scratch for neighbor-label weight accumulation (stamped dense
 /// accumulator, cleared in O(touched) per vertex).
 struct LabelScratch {
@@ -169,14 +165,10 @@ LabelPropResult label_propagation(const CSRGraph& g,
   std::vector<vid_t> labels(static_cast<std::size_t>(n));
   std::iota(labels.begin(), labels.end(), vid_t{0});
 
-  bool use_parallel = n >= kParallelCutoff;
-  if (params.path == LabelPropPath::kSerial) use_parallel = false;
-  if (params.path == LabelPropPath::kParallel) use_parallel = true;
   const SweepStats st =
-      use_parallel ? run_parallel(g, labels, params.max_sweeps,
-                                  params.num_buckets)
-                   : run_serial(g, labels, params.max_sweeps,
-                                params.num_buckets);
+      parallel::use_parallel(params.path, n, parallel::kParallelVertexCutoff)
+          ? run_parallel(g, labels, params.max_sweeps, params.num_buckets)
+          : run_serial(g, labels, params.max_sweeps, params.num_buckets);
 
   LabelPropResult res;
   res.sweeps = st.sweeps;

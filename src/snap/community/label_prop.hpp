@@ -7,14 +7,11 @@
 
 namespace snap {
 
-/// Which move-phase engine label_propagation() runs (same contract as
-/// LouvainPath: kAuto = parallel when the graph is large enough, the
-/// explicit values exist for the differential and determinism tests).
-enum class LabelPropPath { kAuto, kSerial, kParallel };
-
 /// Parameters of the synchronized label-propagation engine.
 struct LabelPropParams {
-  LabelPropPath path = LabelPropPath::kAuto;
+  /// Sweep engine; `kAuto` goes parallel from parallel::kParallelVertexCutoff
+  /// vertices.
+  ExecPath path = ExecPath::kAuto;
   /// Cap on sweeps; the run also stops at the first sweep moving no vertex.
   int max_sweeps = 64;
   /// Sub-rounds per sweep, same bucketing scheme as LouvainParams: within a

@@ -9,7 +9,6 @@
 #include "snap/debug/check.hpp"
 #include "snap/debug/validate.hpp"
 #include "snap/partition/coarsen.hpp"
-#include "snap/partition/exchange.hpp"
 #include "snap/util/parallel.hpp"
 #include "snap/util/timer.hpp"
 
@@ -19,10 +18,6 @@ namespace {
 /// Moves whose gain does not clear this threshold are rejected: float noise
 /// around zero would otherwise drive endless label churn.
 constexpr double kGainEps = 1e-12;
-
-/// Below this many level vertices the parallel move phase's fork/join costs
-/// more than the sweep itself (kAuto cutoff).
-constexpr vid_t kParallelLevelCutoff = 1 << 12;
 
 /// Per-worker scratch for neighbor-community weight accumulation: a dense
 /// accumulator with a version stamp per slot, so clearing between vertices
@@ -204,82 +199,6 @@ MoveStats run_moves_parallel(const CSRGraph& g, std::vector<vid_t>& labels,
   return st;
 }
 
-/// Shard-parallel move phase: the owner-computes orchestration of the same
-/// sub-round semantics, built on the boundary exchange layer.  The vertex
-/// set splits into `num_shards` contiguous ranges; each shard evaluates its
-/// bucket members against its OWN replica of the frozen (labels, volume)
-/// state — no shared mutable state crosses a shard, the transport-agnostic
-/// contract that lets a shard later live in another process.  Accepted
-/// moves are broadcast to every shard through Exchange<Move> and applied to
-/// each replica in delivery order: senders are drained ascending and each
-/// shard's list is in ascending vertex order over a contiguous range, so
-/// the global apply sequence is ascending vertex order — exactly the
-/// serial oracle's — and every replica (and the flat engines) stays
-/// bitwise identical.  A move anywhere changes the volumes every later
-/// gain reads, which is why moves are broadcast rather than sent only to
-/// neighbor shards.
-MoveStats run_moves_sharded(const CSRGraph& g, std::vector<vid_t>& labels,
-                            std::vector<double>& vol,
-                            const std::vector<double>& w_deg, double inv_w,
-                            double inv_2w2, int max_sweeps, int num_buckets,
-                            int num_shards) {
-  const vid_t n = g.num_vertices();
-  const int k = std::max(
-      1, std::min<int>(num_shards > 0 ? num_shards : parallel::num_threads(),
-                       static_cast<int>(std::max<vid_t>(1, n))));
-  std::vector<std::vector<vid_t>> rlabels(static_cast<std::size_t>(k), labels);
-  std::vector<std::vector<double>> rvol(static_cast<std::size_t>(k), vol);
-  std::vector<MoveScratch> scratch(static_cast<std::size_t>(k));
-  std::vector<std::vector<Move>> accepted(static_cast<std::size_t>(k));
-  Exchange<Move> ex(k);
-  MoveStats st;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    eid_t sweep_moves = 0;
-    for (int b = 0; b < num_buckets; ++b) {
-      parallel::run_team(k, [&](int s) {
-        MoveScratch& sc = scratch[static_cast<std::size_t>(s)];
-        if (sc.stamp.size() != static_cast<std::size_t>(n)) sc.init(n);
-        const auto& flabels = rlabels[static_cast<std::size_t>(s)];
-        const auto& fvol = rvol[static_cast<std::size_t>(s)];
-        std::vector<Move>& out = accepted[static_cast<std::size_t>(s)];
-        out.clear();
-        const vid_t lo = n * s / k;
-        const vid_t hi = n * (s + 1) / k;
-        const auto B = static_cast<vid_t>(num_buckets);
-        vid_t v = lo + (((b - lo % B) % B + B) % B);
-        for (; v < hi; v += B) {
-          const vid_t to =
-              decide_move(g, v, flabels, fvol, w_deg, inv_w, inv_2w2, sc);
-          if (to != kInvalidVid)
-            out.push_back({v, flabels[static_cast<std::size_t>(v)], to});
-        }
-        // Broadcast this shard's accepted moves to every replica owner.
-        for (int t = 0; t < k; ++t)
-          for (const Move& mv : out) ex.send(s, t, mv);
-      });
-      parallel::run_team(k, [&](int t) {
-        auto& tlabels = rlabels[static_cast<std::size_t>(t)];
-        auto& tvol = rvol[static_cast<std::size_t>(t)];
-        ex.deliver(t, [&](const Move& mv) {
-          tlabels[static_cast<std::size_t>(mv.v)] = mv.to;
-          const double d = w_deg[static_cast<std::size_t>(mv.v)];
-          tvol[static_cast<std::size_t>(mv.from)] -= d;
-          tvol[static_cast<std::size_t>(mv.to)] += d;
-        });
-      });
-      for (int s = 0; s < k; ++s)
-        sweep_moves += static_cast<eid_t>(accepted[static_cast<std::size_t>(s)].size());
-    }
-    ++st.sweeps;
-    st.moves += sweep_moves;
-    if (sweep_moves == 0) break;
-  }
-  SNAP_VALIDATE(ex);
-  labels = std::move(rlabels[0]);
-  vol = std::move(rvol[0]);
-  return st;
-}
-
 /// Weighted degree of every vertex (self-loop arcs counted as stored, i.e.
 /// twice — the Louvain volume convention) plus their fixed-order total.
 std::vector<double> vertex_volumes(const CSRGraph& g, double& two_w) {
@@ -308,25 +227,12 @@ MoveStats run_moves(const CSRGraph& lg, const LouvainParams& params,
                     std::vector<vid_t>& labels, std::vector<double>& vol,
                     const std::vector<double>& w_deg, double inv_w,
                     double inv_2w2) {
-  switch (params.path) {
-    case LouvainPath::kSerial:
-      return run_moves_serial(lg, labels, vol, w_deg, inv_w, inv_2w2,
-                              params.max_sweeps, params.num_buckets);
-    case LouvainPath::kParallel:
-      return run_moves_parallel(lg, labels, vol, w_deg, inv_w, inv_2w2,
-                                params.max_sweeps, params.num_buckets);
-    case LouvainPath::kSharded:
-      return run_moves_sharded(lg, labels, vol, w_deg, inv_w, inv_2w2,
-                               params.max_sweeps, params.num_buckets,
-                               params.num_shards);
-    case LouvainPath::kAuto:
-    default:
-      return lg.num_vertices() >= kParallelLevelCutoff
-                 ? run_moves_parallel(lg, labels, vol, w_deg, inv_w, inv_2w2,
-                                      params.max_sweeps, params.num_buckets)
-                 : run_moves_serial(lg, labels, vol, w_deg, inv_w, inv_2w2,
-                                    params.max_sweeps, params.num_buckets);
-  }
+  const auto engine = parallel::use_parallel(params.path, lg.num_vertices(),
+                                             parallel::kParallelVertexCutoff)
+                          ? run_moves_parallel
+                          : run_moves_serial;
+  return engine(lg, labels, vol, w_deg, inv_w, inv_2w2, params.max_sweeps,
+                params.num_buckets);
 }
 
 LevelOutcome run_level(const CSRGraph& lg, const LouvainParams& params) {

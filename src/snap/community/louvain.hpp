@@ -9,21 +9,11 @@
 
 namespace snap {
 
-/// Which move-phase engine louvain() runs.  `kAuto` picks the parallel
-/// engine for levels large enough to amortize the fork/join cost and the
-/// serial reference otherwise; the explicit values exist for the
-/// differential tests, which require every path to produce bitwise
-/// identical hierarchies (same semantics, independent orchestration).
-/// `kSharded` runs the owner-computes move phase: contiguous vertex shards
-/// evaluate their bucket members against per-shard replicas of the frozen
-/// (labels, volume) state, broadcast accepted moves through the boundary
-/// exchange layer between sub-rounds, and apply them in ascending vertex
-/// order — the same sequence as the flat engines, hence the same bits.
-enum class LouvainPath { kAuto, kSerial, kParallel, kSharded };
-
 /// Parameters of the multilevel Louvain engine.
 struct LouvainParams {
-  LouvainPath path = LouvainPath::kAuto;
+  /// Move-phase engine, chosen per level; `kAuto` goes parallel on levels of
+  /// at least parallel::kParallelVertexCutoff vertices.
+  ExecPath path = ExecPath::kAuto;
   /// Cap on coarsening levels (each level contracts communities to vertices).
   int max_levels = 24;
   /// Cap on local-move sweeps per level; a level also stops at the first
@@ -40,9 +30,6 @@ struct LouvainParams {
   int num_buckets = 8;
   /// Stop coarsening when a level improves modularity by less than this.
   double min_level_gain = 1e-6;
-  /// Shard count for LouvainPath::kSharded; 0 = parallel::num_threads().
-  /// Ignored by the other paths.
-  int num_shards = 0;
   /// After the hierarchy converges, run extra local-move sweeps on the
   /// *original* graph seeded with the final flat membership (the standard
   /// refinement pass: it can split badly-placed vertices back out of
@@ -117,7 +104,7 @@ struct LouvainResult {
 /// ascending vertex order, contraction via the shared snap/partition
 /// coarsener (`contract_by_map`, intra-community weight kept as self-loops),
 /// and an optional refinement pass on the finest graph.  Bitwise
-/// deterministic at every thread count; `LouvainParams::path = kSerial`
+/// deterministic at every thread count; `ExecPath::kSerial`
 /// selects the serial reference implementation of the same semantics, kept
 /// as the oracle for the differential suite.  Requires an undirected graph.
 LouvainResult louvain(const CSRGraph& g, const LouvainParams& params = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -18,7 +19,7 @@ namespace {
 
 /// Inputs below this many edges build serially: the parallel pipeline's
 /// fork/join and scratch allocations cost more than the build itself.
-constexpr std::size_t kParallelBuildCutoff = 1 << 15;
+constexpr std::int64_t kParallelBuildCutoff = 1 << 15;
 
 /// Total-order edge comparator used by dedupe on BOTH build paths.  Keying
 /// on (u, v, w) — not just (u, v) — makes the sorted sequence unique, so
@@ -176,10 +177,9 @@ void sort_adjacency_slices(vid_t n, const std::vector<eid_t>& offsets,
 
 CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
                               const BuildOptions& opts) {
-  const bool serial =
-      opts.path == BuildPath::kSerial ||
-      (opts.path == BuildPath::kAuto &&
-       (input.size() < kParallelBuildCutoff || parallel::num_threads() <= 1));
+  const bool serial = !parallel::use_parallel(
+      opts.path, static_cast<std::int64_t>(input.size()),
+      kParallelBuildCutoff);
 
   CSRGraph g;
   g.n_ = n;

@@ -8,18 +8,13 @@
 
 namespace snap {
 
-/// Which construction pipeline `CSRGraph::from_edges` runs.  `kAuto` picks
-/// the parallel pipeline for inputs large enough to amortize the fork/join
-/// cost and the serial reference otherwise; the explicit values exist for
-/// the differential build tests, which cross-check the two paths.
-enum class BuildPath { kAuto, kSerial, kParallel };
-
 /// Options controlling CSR construction from an edge list.
 struct BuildOptions {
   bool remove_self_loops = true;
   bool dedupe = true;           ///< collapse parallel edges (smallest weight wins)
   bool sort_adjacency = true;   ///< sort each vertex's neighbors ascending
-  BuildPath path = BuildPath::kAuto;
+  /// Construction pipeline; `kAuto` goes parallel from 2^15 input edges.
+  ExecPath path = ExecPath::kAuto;
 };
 
 /// Static graph in Compressed Sparse Row form — the primary SNAP
@@ -39,7 +34,7 @@ class CSRGraph {
   /// Large inputs run a fully parallel pipeline (per-thread prepare buffers
   /// + prefix-sum compaction, sample-sort dedupe, per-thread degree
   /// histograms, atomic-cursor placement); small inputs and
-  /// `BuildPath::kSerial` run the serial reference builder.  Both paths
+  /// `ExecPath::kSerial` run the serial reference builder.  Both paths
   /// produce byte-identical arrays (offsets/adj/weights/arc_edge_ids) at
   /// every thread count when `sort_adjacency` is on: dedupe orders edges by
   /// the total key (u, v, w) and the adjacency sort keys on

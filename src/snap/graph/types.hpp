@@ -27,4 +27,12 @@ struct Edge {
 
 using EdgeList = std::vector<Edge>;
 
+/// Which engine a kernel with both a serial and a parallel implementation
+/// runs (the `path` field of BuildOptions, LouvainParams, LabelPropParams and
+/// PageRankParams).  `kAuto` lets parallel::use_parallel decide from the
+/// input size and thread count; the forced values exist for the differential
+/// and determinism suites, which hold the serial path as the oracle and
+/// require both to produce bitwise identical results.
+enum class ExecPath { kAuto, kSerial, kParallel };
+
 }  // namespace snap

@@ -15,22 +15,6 @@ namespace {
 
 constexpr std::uint64_t kTotalMass = kPageRankTotalMass;
 
-/// Below this many vertices the parallel path's fork/join costs more than
-/// the sweep itself (kAuto cutoff, same rationale as Louvain's).
-constexpr vid_t kParallelCutoff = 1 << 12;
-
-bool use_parallel_path(const PageRankParams& params, vid_t n) {
-  switch (params.path) {
-    case PageRankPath::kSerial:
-      return false;
-    case PageRankPath::kParallel:
-      return true;
-    case PageRankPath::kAuto:
-    default:
-      return n >= kParallelCutoff;
-  }
-}
-
 }  // namespace
 
 namespace pagerank_detail {
@@ -101,7 +85,8 @@ PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
               " must be non-negative");
   const std::uint64_t d_num = quantized_damping(params.damping);
   const std::uint64_t tol_mass = residual_threshold(params.tol);
-  const bool par = use_parallel_path(params, n);
+  const bool par =
+      parallel::use_parallel(params.path, n, parallel::kParallelVertexCutoff);
   const auto un = static_cast<std::uint64_t>(n);
 
   std::vector<std::uint64_t> mass(static_cast<std::size_t>(n));

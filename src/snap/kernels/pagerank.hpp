@@ -44,12 +44,6 @@ namespace snap {
 
 class CompressedCSR;
 
-/// Which engine pagerank() runs.  kAuto picks the parallel engine for
-/// graphs large enough to amortize the fork/join cost; the explicit values
-/// exist for the differential tests, which require both paths to produce
-/// bitwise identical mass vectors.
-enum class PageRankPath { kAuto, kSerial, kParallel };
-
 /// Total mass is 2^kPageRankMassBits; rank[v] = mass[v] / 2^kPageRankMassBits.
 inline constexpr int kPageRankMassBits = 60;
 /// Damping is quantized to d_num / 2^kPageRankDampBits.
@@ -66,7 +60,9 @@ struct PageRankParams {
   /// (the exact integer residual is compared against tol * 2^60).  0 = run
   /// exactly max_iters — what the byte-exact service endpoint uses.
   double tol = 1e-9;
-  PageRankPath path = PageRankPath::kAuto;
+  /// Sweep engine; `kAuto` goes parallel from parallel::kParallelVertexCutoff
+  /// vertices.
+  ExecPath path = ExecPath::kAuto;
 };
 
 struct PageRankResult {

@@ -140,16 +140,13 @@ HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
       return error_response(400, "updates[" + std::to_string(i) +
                                      "] is not an object");
     const std::string op = rec.get("op").as_string();
-    const Value* u = rec.find("u");
-    const Value* v = rec.find("v");
-    if (u == nullptr || !u->is_number() || v == nullptr || !v->is_number())
-      return error_response(400, "updates[" + std::to_string(i) +
-                                     "] needs numeric \"u\" and \"v\"");
-    const auto uu = static_cast<vid_t>(u->as_int64());
-    const auto vv = static_cast<vid_t>(v->as_int64());
+    // Absent, non-numeric, fractional and out-of-range ids all read as -1.
+    const vid_t uu = rec.get("u").as_int64(-1);
+    const vid_t vv = rec.get("v").as_int64(-1);
     if (uu < 0 || vv < 0)
       return error_response(400, "updates[" + std::to_string(i) +
-                                     "] has a negative vertex id");
+                                     "] needs non-negative integer \"u\" and "
+                                     "\"v\"");
     const auto time =
         static_cast<std::uint64_t>(rec.get("time").as_int64(0));
     if (op == "insert")

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <string>
 
+#include "snap/util/json.hpp"
+
 namespace snap::server {
 
 namespace {
@@ -320,7 +322,9 @@ void HttpServer::serve_connection(int fd) {
       resp = handler_->handle(req);
     } catch (const std::exception& e) {
       resp.status = 500;
-      resp.body = std::string(R"({"error":"internal: )") + e.what() + "\"}";
+      resp.body = R"({"error":)";
+      json::escape(std::string("internal: ") + e.what(), &resp.body);
+      resp.body += '}';
     }
     served_.fetch_add(1, std::memory_order_acq_rel);
     if (!send_response(fd, resp, keep_alive)) return;

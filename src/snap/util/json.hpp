@@ -81,8 +81,14 @@ class Value {
   [[nodiscard]] double as_double(double dflt = 0.0) const {
     return is_number() ? num_ : dflt;
   }
+  /// Integer reads are exact or nothing: `dflt` unless the number is finite,
+  /// integral and within ±2^53, the range a double holds exactly (so 1.5,
+  /// 1e300 and NaN never reach a cast).
   [[nodiscard]] std::int64_t as_int64(std::int64_t dflt = 0) const {
-    return is_number() ? static_cast<std::int64_t>(num_) : dflt;
+    constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+    if (!is_number() || !(num_ >= -kMaxExact && num_ <= kMaxExact)) return dflt;
+    const auto i = static_cast<std::int64_t>(num_);
+    return static_cast<double>(i) == num_ ? i : dflt;
   }
   [[nodiscard]] const std::string& as_string() const { return str_; }
 

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "snap/graph/types.hpp"
+
 // ThreadSanitizer cannot see libgomp's synchronization (GCC does not ship an
 // instrumented OpenMP runtime), so every fork/join and even the compiler's
 // shared-variable handoff at a `#pragma omp parallel` is reported as a race.
@@ -39,6 +41,27 @@ int num_threads();
 
 /// Maximum hardware concurrency reported by the runtime.
 int max_threads();
+
+/// Below this many vertices a per-vertex sweep's fork/join costs more than
+/// the sweep itself: the `kAuto` cutoff of Louvain, label propagation and
+/// PageRank.
+inline constexpr std::int64_t kParallelVertexCutoff = 1 << 12;
+
+/// The one engine-selection policy: `kSerial` and `kParallel` force their
+/// engine; `kAuto` runs parallel when `work` reaches `cutoff` and more than
+/// one thread is available.
+inline bool use_parallel(ExecPath path, std::int64_t work,
+                         std::int64_t cutoff) {
+  switch (path) {
+    case ExecPath::kSerial:
+      return false;
+    case ExecPath::kParallel:
+      return true;
+    case ExecPath::kAuto:
+      break;
+  }
+  return work >= cutoff && num_threads() > 1;
+}
 
 /// Run `body(t)` for every t in [0, nt) on a team of (up to) nt threads.
 /// This is the single fork/join primitive behind every SNAP kernel: OpenMP

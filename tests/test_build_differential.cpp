@@ -1,8 +1,8 @@
 // Differential harness for the parallel CSR construction pipeline (PR 2):
 // random edge lists — duplicates, self loops, weights, directed and
-// undirected — built with BuildPath::kParallel at threads {1, 2, 4, 8} must
+// undirected — built with ExecPath::kParallel at threads {1, 2, 4, 8} must
 // produce CSR arrays identical to the retained serial reference builder
-// (BuildPath::kSerial).  With sort_adjacency on the comparison is exact
+// (ExecPath::kSerial).  With sort_adjacency on the comparison is exact
 // array equality (the builder's determinism contract); with it off, arc
 // order within a vertex is scheduling-dependent, so slices are compared as
 // multisets.
@@ -98,12 +98,12 @@ TEST_P(BuildDifferential, ParallelMatchesSerialReference) {
   BuildOptions ref_opts;
   ref_opts.dedupe = dedupe;
   ref_opts.remove_self_loops = !keep_loops;
-  ref_opts.path = BuildPath::kSerial;
+  ref_opts.path = ExecPath::kSerial;
   const CSRGraph ref = CSRGraph::from_edges(n, input, directed, ref_opts);
 
   parallel::ThreadScope scope(threads);
   BuildOptions par_opts = ref_opts;
-  par_opts.path = BuildPath::kParallel;
+  par_opts.path = ExecPath::kParallel;
   const CSRGraph got = CSRGraph::from_edges(n, input, directed, par_opts);
   expect_identical(got, ref);
 }
@@ -117,12 +117,12 @@ TEST_P(BuildDifferential, UnsortedAdjacencyIsEquivalent) {
   ref_opts.dedupe = dedupe;
   ref_opts.remove_self_loops = !keep_loops;
   ref_opts.sort_adjacency = false;
-  ref_opts.path = BuildPath::kSerial;
+  ref_opts.path = ExecPath::kSerial;
   const CSRGraph ref = CSRGraph::from_edges(n, input, directed, ref_opts);
 
   parallel::ThreadScope scope(threads);
   BuildOptions par_opts = ref_opts;
-  par_opts.path = BuildPath::kParallel;
+  par_opts.path = ExecPath::kParallel;
   const CSRGraph got = CSRGraph::from_edges(n, input, directed, par_opts);
   // The logical edge list must still be identical — only arc order varies.
   ASSERT_EQ(got.edges().size(), ref.edges().size());
@@ -143,7 +143,7 @@ TEST(BuildDifferentialEdgeCases, ParallelBuildHashesIdenticallyAcrossThreads) {
   const EdgeList edges = messy_edges(2000, 60000, 77);
   for (const bool directed : {false, true}) {
     BuildOptions opts;
-    opts.path = BuildPath::kParallel;
+    opts.path = ExecPath::kParallel;
     opts.remove_self_loops = false;
     const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
       const CSRGraph g = CSRGraph::from_edges(2000, edges, directed, opts);
@@ -166,7 +166,7 @@ TEST(BuildDifferentialEdgeCases, OutOfRangeErrorIsDeterministic) {
   edges[30000] = {-1, 3, 1.0};
   parallel::ThreadScope scope(8);
   BuildOptions opts;
-  opts.path = BuildPath::kParallel;
+  opts.path = ExecPath::kParallel;
   try {
     CSRGraph::from_edges(100, edges, false, opts);
     FAIL() << "expected std::out_of_range";
@@ -180,7 +180,7 @@ TEST(BuildDifferentialEdgeCases, OutOfRangeErrorIsDeterministic) {
 TEST(BuildDifferentialEdgeCases, EmptyAndTinyInputs) {
   parallel::ThreadScope scope(8);
   BuildOptions opts;
-  opts.path = BuildPath::kParallel;
+  opts.path = ExecPath::kParallel;
   const CSRGraph empty = CSRGraph::from_edges(0, {}, false, opts);
   EXPECT_EQ(empty.num_vertices(), 0);
   EXPECT_EQ(empty.num_edges(), 0);
@@ -194,7 +194,7 @@ TEST(BuildDifferentialEdgeCases, DedupeKeepsSmallestWeight) {
   // wins, identically on both build paths.
   EdgeList edges;
   for (int i = 0; i < 3; ++i) edges.push_back({0, 1, 5.0 - i});
-  for (const BuildPath path : {BuildPath::kSerial, BuildPath::kParallel}) {
+  for (const ExecPath path : {ExecPath::kSerial, ExecPath::kParallel}) {
     parallel::ThreadScope scope(4);
     BuildOptions opts;
     opts.path = path;

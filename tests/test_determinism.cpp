@@ -66,13 +66,13 @@ std::vector<vid_t> canonical_labels(const std::vector<vid_t>& label) {
 }
 
 TEST(Determinism, ParallelCsrBuild) {
-  // A big enough edge list that BuildPath::kAuto would also go parallel,
+  // A big enough edge list that ExecPath::kAuto would also go parallel,
   // forced explicitly so the test exercises the parallel pipeline even if
   // the cutoff moves.
   const CSRGraph src = rmat_graph(17, 6, 99);
   const EdgeList& edges = src.edges();
   BuildOptions opts;
-  opts.path = BuildPath::kParallel;
+  opts.path = ExecPath::kParallel;
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
     const CSRGraph g =
         CSRGraph::from_edges(src.num_vertices(), edges, false, opts);
@@ -199,7 +199,7 @@ TEST(Determinism, LouvainHierarchy) {
   const CSRGraph g =
       gen::planted_partition(3000, 12, /*deg_in=*/10.0, /*deg_out=*/2.0, 77);
   LouvainParams params;
-  params.path = LouvainPath::kParallel;  // force it even below the cutoff
+  params.path = ExecPath::kParallel;  // force it even below the cutoff
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
     const LouvainResult r = louvain(g, params);
     h.sequence(r.community.clustering.membership);
@@ -228,7 +228,7 @@ TEST(Determinism, LouvainHierarchy) {
 TEST(Determinism, LabelPropagationLabels) {
   const CSRGraph g = rmat_graph(13, 6, 83);
   LabelPropParams params;
-  params.path = LabelPropPath::kParallel;
+  params.path = ExecPath::kParallel;
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
     const LabelPropResult r = label_propagation(g, params);
     h.sequence(canonical_labels(r.community.clustering.membership));
@@ -364,7 +364,7 @@ TEST(Determinism, PageRankMass) {
   // not just the partition-like outputs.
   const CSRGraph g = rmat_graph(14, 8, 43);
   PageRankParams params;
-  params.path = PageRankPath::kParallel;
+  params.path = ExecPath::kParallel;
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
     const PageRankResult r = pagerank(g, params);
     h.sequence(r.mass);
@@ -392,32 +392,6 @@ TEST(Determinism, PartitionedPageRankMassAndTraffic) {
     h.value(pr.result.residual);
     h.value(pr.boundary_messages);
     h.value(pr.combined_messages);
-  });
-  ASSERT_TRUE(report.deterministic) << report.to_string();
-}
-
-TEST(Determinism, LouvainShardedHierarchy) {
-  // The sharded move phase with a pinned shard count must be thread-count
-  // invariant (shards multiplex onto whatever team runs); hash the level-0
-  // membership and the full hierarchy surface like the flat entry.
-  const CSRGraph g =
-      gen::planted_partition(3000, 12, /*deg_in=*/10.0, /*deg_out=*/2.0, 77);
-  LouvainParams params;
-  params.path = LouvainPath::kSharded;
-  params.num_shards = 4;
-  const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
-    const LouvainResult r = louvain(g, params);
-    ASSERT_FALSE(r.levels.empty());
-    h.sequence(r.levels[0].membership());
-    h.sequence(r.community.clustering.membership);
-    h.value(r.community.modularity);
-    h.value(r.community.iterations);
-    h.value(r.refine_moves);
-    for (const LouvainLevel& lvl : r.levels) {
-      h.sequence(lvl.membership());
-      h.sequence(lvl.community_volume());
-      h.value(lvl.moves());
-    }
   });
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }

@@ -156,6 +156,25 @@ TEST(JsonParse, DuplicateKeysLastWins) {
   EXPECT_EQ(v.size(), 1u);
 }
 
+TEST(JsonNumbers, AsInt64IsExactOrDefault) {
+  EXPECT_EQ(parse_ok("42").as_int64(-1), 42);
+  EXPECT_EQ(parse_ok("-7").as_int64(-1), -7);
+  EXPECT_EQ(parse_ok("4.0").as_int64(-1), 4);
+  EXPECT_EQ(parse_ok("9007199254740992").as_int64(-1),
+            std::int64_t{1} << 53);
+  EXPECT_EQ(parse_ok("-9007199254740992").as_int64(-1),
+            -(std::int64_t{1} << 53));
+  // Fractional, beyond the exact-double window, or not finite: no value.
+  EXPECT_EQ(parse_ok("1.5").as_int64(-1), -1);
+  EXPECT_EQ(parse_ok("-0.25").as_int64(-1), -1);
+  EXPECT_EQ(parse_ok("1e300").as_int64(-1), -1);
+  EXPECT_EQ(parse_ok("-1e300").as_int64(-1), -1);
+  EXPECT_EQ(parse_ok("18014398509481984").as_int64(-1), -1);  // 2^54
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).as_int64(-1), -1);
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).as_int64(-1), -1);
+  EXPECT_EQ(Value("3").as_int64(-1), -1);
+}
+
 TEST(JsonNumbers, NonFiniteEmitsZero) {
   EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).dump(), "0");
   EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).dump(), "0");

@@ -101,9 +101,9 @@ TEST_P(LouvainDifferential, ParallelMatchesSerialOracle) {
   parallel::ThreadScope scope(GetParam());
   for (const auto& [name, g] : instances()) {
     LouvainParams serial;
-    serial.path = LouvainPath::kSerial;
+    serial.path = ExecPath::kSerial;
     LouvainParams parallel_p = serial;
-    parallel_p.path = LouvainPath::kParallel;
+    parallel_p.path = ExecPath::kParallel;
     const LouvainResult a = louvain(g, serial);
     const LouvainResult b = louvain(g, parallel_p);
     expect_identical_hierarchies(a, b, name);
@@ -114,10 +114,10 @@ TEST_P(LouvainDifferential, RefinementOffStillMatches) {
   parallel::ThreadScope scope(GetParam());
   for (const auto& [name, g] : instances()) {
     LouvainParams serial;
-    serial.path = LouvainPath::kSerial;
+    serial.path = ExecPath::kSerial;
     serial.refine = false;
     LouvainParams parallel_p = serial;
-    parallel_p.path = LouvainPath::kParallel;
+    parallel_p.path = ExecPath::kParallel;
     expect_identical_hierarchies(louvain(g, serial), louvain(g, parallel_p),
                                  name);
   }
@@ -136,7 +136,7 @@ TEST_P(LouvainDifferential, PlpConvergesToPluralityFixedPoint) {
   parallel::ThreadScope scope(GetParam());
   for (const auto& [name, g] : instances()) {
     LabelPropParams p;
-    p.path = LabelPropPath::kParallel;
+    p.path = ExecPath::kParallel;
     const LabelPropResult r = label_propagation(g, p);
     ASSERT_TRUE(r.converged) << name << ": no fixed point within "
                              << p.max_sweeps << " sweeps";
@@ -153,9 +153,9 @@ TEST_P(LouvainDifferential, PlpParallelMatchesSerial) {
   parallel::ThreadScope scope(GetParam());
   for (const auto& [name, g] : instances()) {
     LabelPropParams serial;
-    serial.path = LabelPropPath::kSerial;
+    serial.path = ExecPath::kSerial;
     LabelPropParams parallel_p = serial;
-    parallel_p.path = LabelPropPath::kParallel;
+    parallel_p.path = ExecPath::kParallel;
     const LabelPropResult a = label_propagation(g, serial);
     const LabelPropResult b = label_propagation(g, parallel_p);
     EXPECT_EQ(a.community.clustering.membership,
@@ -165,36 +165,6 @@ TEST_P(LouvainDifferential, PlpParallelMatchesSerial) {
     EXPECT_EQ(a.sweeps, b.sweeps) << name;
     EXPECT_EQ(a.converged, b.converged) << name;
     EXPECT_EQ(a.community.iterations, b.community.iterations) << name;
-  }
-}
-
-TEST_P(LouvainDifferential, ShardedMatchesSerialOracleAtEveryShardCount) {
-  parallel::ThreadScope scope(GetParam());
-  for (const auto& [name, g] : instances()) {
-    LouvainParams serial;
-    serial.path = LouvainPath::kSerial;
-    const LouvainResult oracle = louvain(g, serial);
-    for (const int k : {1, 2, 4, 7}) {
-      LouvainParams sharded = serial;
-      sharded.path = LouvainPath::kSharded;
-      sharded.num_shards = k;
-      expect_identical_hierarchies(louvain(g, sharded), oracle,
-                                   name + " shards=" + std::to_string(k));
-    }
-  }
-}
-
-TEST_P(LouvainDifferential, ShardedDefaultShardCountMatchesSerial) {
-  // num_shards = 0 derives the shard count from the thread pool — the
-  // hierarchy must still be the oracle's whatever that resolves to.
-  parallel::ThreadScope scope(GetParam());
-  for (const auto& [name, g] : instances()) {
-    LouvainParams serial;
-    serial.path = LouvainPath::kSerial;
-    LouvainParams sharded = serial;
-    sharded.path = LouvainPath::kSharded;
-    expect_identical_hierarchies(louvain(g, sharded), louvain(g, serial),
-                                 name);
   }
 }
 

@@ -94,12 +94,12 @@ TEST(PageRank, ToleranceStopsEarly) {
 TEST(PageRank, SerialAndParallelPathsAreBitwiseIdentical) {
   for (const auto& [name, g] : instances()) {
     PageRankParams ps;
-    ps.path = PageRankPath::kSerial;
+    ps.path = ExecPath::kSerial;
     const PageRankResult oracle = pagerank(g, ps);
     for (const int nt : {1, 2, 4, 8}) {
       parallel::ThreadScope scope(nt);
       PageRankParams pp;
-      pp.path = PageRankPath::kParallel;
+      pp.path = ExecPath::kParallel;
       expect_identical(pagerank(g, pp), oracle,
                        name + " threads=" + std::to_string(nt));
     }
@@ -124,7 +124,7 @@ TEST_P(PageRankPartitioned, MatchesFlatBitwiseAtEveryShardCount) {
   parallel::ThreadScope scope(GetParam());
   for (const auto& [name, g] : instances()) {
     PageRankParams ps;
-    ps.path = PageRankPath::kSerial;
+    ps.path = ExecPath::kSerial;
     const PageRankResult oracle = pagerank(g, ps);
     for (const int k : {1, 2, 4, 7}) {
       PartitionedCSROptions opts;

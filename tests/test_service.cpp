@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -374,6 +375,11 @@ TEST_F(ServiceTest, ErrorPaths) {
        400},
       {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":-4,\"v\":1}]}",
        400},
+      {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":1e300,\"v\":1}]}",
+       400},
+      {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":1.5,\"v\":1}]}",
+       400},
+      {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":0}]}", 400},
       {"GET", "/community?algo=sorcery", "", 400},
       {"GET", "/bc-topk?k=0", "", 400},
       {"GET", "/bc-topk?k=frog", "", 400},
@@ -487,6 +493,29 @@ TEST_F(ServiceTest, ShutdownEndpointWakesTheWaiter) {
   waiter.join();
   EXPECT_TRUE(woke.load(std::memory_order_acquire));
   EXPECT_TRUE(service_->shutdown_requested());
+}
+
+/// Always throws a message holding both characters JSON must escape.
+class ThrowingHandler : public snap::server::HttpHandler {
+ public:
+  static constexpr const char* kMessage = R"(bad "quote" and \back\slash)";
+  snap::server::HttpResponse handle(const snap::server::HttpRequest&) override {
+    throw std::runtime_error(kMessage);
+  }
+};
+
+TEST(HttpServerErrors, HandlerExceptionIsAnEscapedJson500) {
+  ThrowingHandler handler;
+  HttpServer server(&handler, /*threads=*/1);
+  std::string err;
+  ASSERT_TRUE(server.start("127.0.0.1", 0, &err)) << err;
+  const HttpResult r = http_request("127.0.0.1", server.port(), "GET", "/x");
+  server.stop();
+  EXPECT_EQ(r.status, 500) << r.error;
+  Value doc;
+  ASSERT_TRUE(snap::json::parse(r.body, &doc, nullptr)) << r.body;
+  EXPECT_EQ(doc.get("error").as_string(),
+            std::string("internal: ") + ThrowingHandler::kMessage);
 }
 
 }  // namespace

@@ -126,6 +126,31 @@ TEST(Parallel, ThreadScopeRestores) {
   EXPECT_EQ(parallel::num_threads(), before);
 }
 
+// --- use_parallel: the one engine-selection policy behind every `path` ---
+
+TEST(UseParallel, ForcedPathsIgnoreSizeAndThreads) {
+  for (const int t : {1, 4}) {
+    parallel::ThreadScope scope(t);
+    for (const std::int64_t work : {0, 1, 1 << 20}) {
+      EXPECT_FALSE(parallel::use_parallel(ExecPath::kSerial, work, 16));
+      EXPECT_TRUE(parallel::use_parallel(ExecPath::kParallel, work, 16));
+    }
+  }
+}
+
+TEST(UseParallel, AutoFlipsExactlyAtTheCutoff) {
+  parallel::ThreadScope scope(4);
+  const std::int64_t cutoff = parallel::kParallelVertexCutoff;
+  EXPECT_FALSE(parallel::use_parallel(ExecPath::kAuto, cutoff - 1, cutoff));
+  EXPECT_TRUE(parallel::use_parallel(ExecPath::kAuto, cutoff, cutoff));
+  EXPECT_TRUE(parallel::use_parallel(ExecPath::kAuto, cutoff + 1, cutoff));
+}
+
+TEST(UseParallel, AutoStaysSerialOnOneThread) {
+  parallel::ThreadScope scope(1);
+  EXPECT_FALSE(parallel::use_parallel(ExecPath::kAuto, 1 << 20, 16));
+}
+
 TEST(Bitmap, TestAndSetFlipsOnce) {
   AtomicBitmap bm(200);
   EXPECT_FALSE(bm.test(5));

@@ -33,6 +33,12 @@ that are unique to this codebase's determinism and performance guarantees:
                     protects, keeping the lock catalog
                     (docs/CORRECTNESS.md) greppable and in sync with the
                     GUARDED_BY annotations.
+  exec-path         No `enum class` whose enumerators include kAuto,
+                    kSerial and kParallel outside snap/graph/types.hpp.
+                    Every kernel with a serial oracle and a parallel
+                    engine selects between them through the one
+                    snap::ExecPath and parallel::use_parallel; a private
+                    copy of that enum brings back a private cutoff policy.
 
 Suppress a finding with `// lint:allow(<rule>)` on the offending line.
 
@@ -293,11 +299,36 @@ def check_guard_note(path, raw, code):
                           "(docs/CORRECTNESS.md) must stay complete")
 
 
+# An enum class definition; the body may span lines (matched on the joined,
+# comment-stripped text).
+ENUM_CLASS = re.compile(r"\benum\s+(?:class|struct)\s+(\w+)[^{;]*\{([^}]*)\}")
+EXEC_PATH_ENUMERATORS = {"kAuto", "kSerial", "kParallel"}
+
+
+def check_exec_path(path, raw, code):
+    if path.name == "types.hpp" and path.parent.name == "graph":
+        return  # the one home of snap::ExecPath
+    text = "\n".join(code)
+    for m in ENUM_CLASS.finditer(text):
+        names = {e.split("=")[0].strip() for e in m.group(2).split(",")}
+        if not EXEC_PATH_ENUMERATORS <= names:
+            continue
+        i = text.count("\n", 0, m.start())
+        if suppressed(raw, i, "exec-path"):
+            continue
+        yield Finding(path, i + 1, "exec-path",
+                      f"enum class {m.group(1)} re-declares the serial/"
+                      "parallel engine selector; use snap::ExecPath and "
+                      "parallel::use_parallel (snap/graph/types.hpp, "
+                      "snap/util/parallel.hpp)")
+
+
 CHECKS = [check_randomness, check_std_function, check_omp_critical,
-          check_reduction_note, check_raw_mutex, check_guard_note]
+          check_reduction_note, check_raw_mutex, check_guard_note,
+          check_exec_path]
 
 RULE_NAMES = ["randomness", "std-function", "omp-critical",
-              "reduction-note", "raw-mutex", "guard-note"]
+              "reduction-note", "raw-mutex", "guard-note", "exec-path"]
 
 
 def lint_file(path: pathlib.Path) -> list[Finding]:
