@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "snap/centrality/betweenness.hpp"
@@ -61,7 +62,157 @@ bool parse_int_param(const HttpRequest& req, std::string_view key,
   return true;
 }
 
+/// The /ingest decoder: follows the document's nesting by depth (the open
+/// containers) and appends each record of the current top-level "updates"
+/// array to the batch as the record closes.  The root object's members sit
+/// at depth 1, records at depth 2 and their members at depth 3; every other
+/// value is only counted.
+class IngestSink final : public json::Sink {
+ public:
+  explicit IngestSink(stream::UpdateBatch* out) : out_(out) {}
+
+  void null() override { value(Kind::kOther); }
+  void boolean(bool /*b*/) override { value(Kind::kOther); }
+  void number(double d) override {
+    num_ = d;
+    value(Kind::kNumber);
+  }
+  void string(std::string_view s) override {
+    str_ = s;
+    value(Kind::kString);
+  }
+  void key(std::string_view k) override {
+    if (depth_ == 1) {
+      updates_key_ = k == "updates";
+    } else if (depth_ == 3 && in_record_) {
+      field_ = k == "u"      ? Field::kU
+               : k == "v"    ? Field::kV
+               : k == "op"   ? Field::kOp
+               : k == "time" ? Field::kTime
+                             : Field::kOther;
+    }
+  }
+  void begin_array() override {
+    value(Kind::kArray);
+    ++depth_;
+  }
+  void begin_object() override {
+    value(Kind::kObject);
+    ++depth_;
+  }
+  void end_array() override { close(); }
+  void end_object() override { close(); }
+
+  /// After a complete parse: the 400 message, or "" for a good batch.
+  [[nodiscard]] std::string verdict() const {
+    if (!updates_array_) return "body must be {\"updates\": [...]}";
+    return error_;
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kNumber, kString, kArray, kObject, kOther };
+  enum class Field : std::uint8_t { kU, kV, kOp, kTime, kOther };
+  enum class Op : std::uint8_t { kInsert, kDelete, kBad };
+
+  void value(Kind kind) {
+    if (depth_ == 1 && updates_key_) {
+      // A later "updates" key replaces everything read from an earlier one.
+      updates_array_ = in_updates_ = kind == Kind::kArray;
+      out_->clear();
+      index_ = 0;
+      error_.clear();
+    } else if (depth_ == 2 && in_updates_) {
+      if (kind != Kind::kObject) {
+        reject("is not an object");
+        ++index_;
+        return;
+      }
+      in_record_ = true;
+      u_ = v_ = -1;
+      op_ = Op::kBad;
+      time_ = 0;
+    } else if (depth_ == 3 && in_record_) {
+      // Absent, non-numeric, fractional and out-of-range ids read as -1.
+      const bool num = kind == Kind::kNumber;
+      switch (field_) {
+        case Field::kU:
+          u_ = num ? json::exact_int64(num_, -1) : -1;
+          break;
+        case Field::kV:
+          v_ = num ? json::exact_int64(num_, -1) : -1;
+          break;
+        case Field::kOp:
+          op_ = kind != Kind::kString ? Op::kBad
+                : str_ == "insert"    ? Op::kInsert
+                : str_ == "delete"    ? Op::kDelete
+                                      : Op::kBad;
+          break;
+        case Field::kTime:
+          time_ = num ? json::exact_int64(num_, 0) : 0;
+          break;
+        case Field::kOther:
+          break;
+      }
+    }
+  }
+
+  void close() {
+    --depth_;
+    if (depth_ == 1) {
+      in_updates_ = false;
+    } else if (depth_ == 2 && in_record_) {
+      in_record_ = false;
+      if (u_ < 0 || v_ < 0) {
+        reject("needs non-negative integer \"u\" and \"v\"");
+      } else if (op_ == Op::kBad) {
+        reject("\"op\" must be insert or delete");
+      } else if (error_.empty()) {
+        const auto time = static_cast<std::uint64_t>(time_);
+        if (op_ == Op::kInsert)
+          out_->insert(u_, v_, time);
+        else
+          out_->erase(u_, v_, time);
+      }
+      ++index_;
+    }
+  }
+
+  /// Keep the first bad record's message; the parse goes on regardless, so
+  /// malformed JSON after it still wins.
+  void reject(const char* why) {
+    if (error_.empty())
+      error_ = "updates[" + std::to_string(index_) + "] " + why;
+  }
+
+  stream::UpdateBatch* out_;
+  int depth_ = 0;
+  bool updates_key_ = false;    ///< the last root key read was "updates"
+  bool updates_array_ = false;  ///< the last "updates" value is an array
+  bool in_updates_ = false;     ///< inside that array
+  bool in_record_ = false;      ///< inside one of its object records
+  std::size_t index_ = 0;       ///< the current record's index
+  std::string error_;           ///< first bad record's message, or ""
+  double num_ = 0.0;            ///< the scalar being delivered
+  std::string_view str_;
+  Field field_ = Field::kOther;  ///< the record member being read
+  vid_t u_ = -1;
+  vid_t v_ = -1;
+  Op op_ = Op::kBad;
+  std::int64_t time_ = 0;
+};
+
 }  // namespace
+
+bool decode_ingest(std::string_view body, stream::UpdateBatch* out,
+                   std::string* error) {
+  out->clear();
+  IngestSink sink(out);
+  std::string err;
+  *error = json::parse(body, sink, &err) ? sink.verdict()
+                                         : "malformed JSON body: " + err;
+  if (!error->empty()) out->clear();
+  return error->empty();
+}
 
 GraphService::GraphService(vid_t num_vertices, bool directed)
     : sg_(num_vertices, directed) {
@@ -125,38 +276,10 @@ HttpResponse GraphService::route(const HttpRequest& request) {
 // POST /ingest — the single writer.
 
 HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
-  Value doc;
-  std::string err;
-  if (!json::parse(request.body, &doc, &err))
-    return error_response(400, "malformed JSON body: " + err);
-  const Value* updates = doc.find("updates");
-  if (updates == nullptr || !updates->is_array())
-    return error_response(400, "body must be {\"updates\": [...]}");
-
   stream::UpdateBatch batch;
-  for (std::size_t i = 0; i < updates->size(); ++i) {
-    const Value& rec = (*updates)[i];
-    if (!rec.is_object())
-      return error_response(400, "updates[" + std::to_string(i) +
-                                     "] is not an object");
-    const std::string op = rec.get("op").as_string();
-    // Absent, non-numeric, fractional and out-of-range ids all read as -1.
-    const vid_t uu = rec.get("u").as_int64(-1);
-    const vid_t vv = rec.get("v").as_int64(-1);
-    if (uu < 0 || vv < 0)
-      return error_response(400, "updates[" + std::to_string(i) +
-                                     "] needs non-negative integer \"u\" and "
-                                     "\"v\"");
-    const auto time =
-        static_cast<std::uint64_t>(rec.get("time").as_int64(0));
-    if (op == "insert")
-      batch.insert(uu, vv, time);
-    else if (op == "delete")
-      batch.erase(uu, vv, time);
-    else
-      return error_response(400, "updates[" + std::to_string(i) +
-                                     "] \"op\" must be insert or delete");
-  }
+  std::string err;
+  if (!decode_ingest(request.body, &batch, &err))
+    return error_response(400, err);
 
   stream::ApplyStats stats;
   std::uint64_t epoch = 0;

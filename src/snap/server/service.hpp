@@ -2,13 +2,27 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "snap/graph/types.hpp"
 #include "snap/server/http.hpp"
 #include "snap/stream/streaming_graph.hpp"
+#include "snap/stream/update_batch.hpp"
 #include "snap/util/sync.hpp"
 
 namespace snap::server {
+
+/// Decode a `POST /ingest` body, `{"updates":[{"op","u","v","time"}...]}`,
+/// into `*out` (cleared first) in one streaming pass with no document tree.
+/// Returns false with the service's 400 message in `*error` when the body is
+/// malformed JSON (anywhere, even after a bad record), has no `updates`
+/// array, or holds a bad record (the first one is reported).  The last
+/// top-level `updates` key and the last duplicate key in a record win;
+/// unknown members are validated and skipped.  `u` and `v` must be
+/// integral with 0 <= x <= 2^53, `op` must be "insert" or "delete", and
+/// `time` reads as 0 unless it is integral with |x| <= 2^53.
+bool decode_ingest(std::string_view body, stream::UpdateBatch* out,
+                   std::string* error);
 
 /// The graph analytics service: a JSON-over-HTTP handler that owns one
 /// StreamingGraph in eager-snapshot mode and answers every query from a

@@ -1,9 +1,11 @@
 #include "snap/util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 namespace snap::json {
 
@@ -173,12 +175,13 @@ std::string Value::dump() const {
 
 namespace {
 
+/// The grammar: recursive descent over the text, one event per token.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, Sink& sink) : text_(text), sink_(sink) {}
 
-  bool run(Value* out, std::string* error) {
-    bool ok = parse_value(out, 0);
+  bool run(std::string* error) {
+    bool ok = parse_value(0);
     if (ok) {
       skip_ws();
       if (pos_ != text_.size()) {
@@ -207,6 +210,9 @@ class Parser {
 
   [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
   [[nodiscard]] char peek() const { return text_[pos_]; }
+  [[nodiscard]] bool at_digit() const {
+    return !at_end() && peek() >= '0' && peek() <= '9';
+  }
 
   bool consume_literal(std::string_view lit) {
     if (text_.substr(pos_, lit.size()) != lit)
@@ -215,54 +221,56 @@ class Parser {
     return true;
   }
 
-  bool parse_value(Value* out, int depth) {
+  bool parse_value(int depth) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     skip_ws();
     if (at_end()) return fail("unexpected end of input");
     switch (peek()) {
       case 'n':
         if (!consume_literal("null")) return false;
-        *out = Value();
+        sink_.null();
         return true;
       case 't':
         if (!consume_literal("true")) return false;
-        *out = Value(true);
+        sink_.boolean(true);
         return true;
       case 'f':
         if (!consume_literal("false")) return false;
-        *out = Value(false);
+        sink_.boolean(false);
         return true;
       case '"': {
-        std::string s;
+        std::string_view s;
         if (!parse_string(&s)) return false;
-        *out = Value(std::move(s));
+        sink_.string(s);
         return true;
       }
       case '[':
-        return parse_array(out, depth);
+        return parse_array(depth);
       case '{':
-        return parse_object(out, depth);
+        return parse_object(depth);
       default:
-        return parse_number(out);
+        return parse_number();
     }
   }
 
-  bool parse_array(Value* out, int depth) {
+  bool parse_array(int depth) {
     ++pos_;  // '['
-    *out = Value::array();
+    sink_.begin_array();
     skip_ws();
     if (!at_end() && peek() == ']') {
       ++pos_;
+      sink_.end_array();
       return true;
     }
     for (;;) {
-      Value elem;
-      if (!parse_value(&elem, depth + 1)) return false;
-      out->push_back(std::move(elem));
+      if (!parse_value(depth + 1)) return false;
       skip_ws();
       if (at_end()) return fail("unterminated array");
       const char c = text_[pos_++];
-      if (c == ']') return true;
+      if (c == ']') {
+        sink_.end_array();
+        return true;
+      }
       if (c != ',') {
         --pos_;
         return fail("expected ',' or ']' in array");
@@ -270,29 +278,32 @@ class Parser {
     }
   }
 
-  bool parse_object(Value* out, int depth) {
+  bool parse_object(int depth) {
     ++pos_;  // '{'
-    *out = Value::object();
+    sink_.begin_object();
     skip_ws();
     if (!at_end() && peek() == '}') {
       ++pos_;
+      sink_.end_object();
       return true;
     }
     for (;;) {
       skip_ws();
       if (at_end() || peek() != '"') return fail("expected object key");
-      std::string key;
+      std::string_view key;
       if (!parse_string(&key)) return false;
+      sink_.key(key);
       skip_ws();
       if (at_end() || text_[pos_] != ':') return fail("expected ':' after key");
       ++pos_;
-      Value member;
-      if (!parse_value(&member, depth + 1)) return false;
-      out->set(key, std::move(member));
+      if (!parse_value(depth + 1)) return false;
       skip_ws();
       if (at_end()) return fail("unterminated object");
       const char c = text_[pos_++];
-      if (c == '}') return true;
+      if (c == '}') {
+        sink_.end_object();
+        return true;
+      }
       if (c != ',') {
         --pos_;
         return fail("expected ',' or '}' in object");
@@ -338,44 +349,65 @@ class Parser {
     }
   }
 
-  bool parse_string(std::string* out) {
+  /// Decode the string at the opening quote.  `*out` views the text itself
+  /// when the string has no escapes, else `buf_`, which holds each run of
+  /// plain bytes appended in one call and each escape decoded.
+  bool parse_string(std::string_view* out) {
     ++pos_;  // opening quote
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20)
-        return fail("raw control character in string");
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
+    bool escaped = false;
+    for (;;) {
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[end]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++end;
       }
+      const std::string_view run = text_.substr(pos_, end - pos_);
+      if (end == text_.size()) {
+        pos_ = end;
+        return fail("unterminated string");
+      }
+      pos_ = end + 1;
+      const char c = text_[end];
+      if (c == '"') {
+        if (!escaped) {
+          *out = run;
+          return true;
+        }
+        buf_.append(run);
+        *out = buf_;
+        return true;
+      }
+      if (c != '\\') return fail("raw control character in string");
+      if (!escaped) buf_.clear();
+      escaped = true;
+      buf_.append(run);
       if (at_end()) return fail("truncated escape");
       const char e = text_[pos_++];
       switch (e) {
         case '"':
-          out->push_back('"');
+          buf_.push_back('"');
           break;
         case '\\':
-          out->push_back('\\');
+          buf_.push_back('\\');
           break;
         case '/':
-          out->push_back('/');
+          buf_.push_back('/');
           break;
         case 'b':
-          out->push_back('\b');
+          buf_.push_back('\b');
           break;
         case 'f':
-          out->push_back('\f');
+          buf_.push_back('\f');
           break;
         case 'n':
-          out->push_back('\n');
+          buf_.push_back('\n');
           break;
         case 'r':
-          out->push_back('\r');
+          buf_.push_back('\r');
           break;
         case 't':
-          out->push_back('\t');
+          buf_.push_back('\t');
           break;
         case 'u': {
           unsigned cp = 0;
@@ -396,53 +428,105 @@ class Parser {
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
             return fail("unpaired low surrogate");
           }
-          append_utf8(cp, out);
+          append_utf8(cp, &buf_);
           break;
         }
         default:
           return fail("invalid escape character");
       }
     }
-    return fail("unterminated string");
   }
 
-  bool parse_number(Value* out) {
+  bool parse_number() {
     const std::size_t start = pos_;
     if (!at_end() && peek() == '-') ++pos_;
-    if (at_end() || peek() < '0' || peek() > '9')
-      return fail("invalid value");
+    if (!at_digit()) return fail("invalid value");
     // JSON forbids leading zeros ("012"), octal-looking input is a typo.
     if (peek() == '0' && pos_ + 1 < text_.size() && text_[pos_ + 1] >= '0' &&
         text_[pos_ + 1] <= '9')
       return fail("leading zero in number");
-    while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+    while (at_digit()) ++pos_;
     if (!at_end() && peek() == '.') {
       ++pos_;
-      if (at_end() || peek() < '0' || peek() > '9')
-        return fail("digit required after decimal point");
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+      if (!at_digit()) return fail("digit required after decimal point");
+      while (at_digit()) ++pos_;
     }
     if (!at_end() && (peek() == 'e' || peek() == 'E')) {
       ++pos_;
       if (!at_end() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (at_end() || peek() < '0' || peek() > '9')
-        return fail("digit required in exponent");
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+      if (!at_digit()) return fail("digit required in exponent");
+      while (at_digit()) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    *out = Value(std::strtod(token.c_str(), nullptr));
+    // from_chars reads the validated span in place, correctly rounded.  On
+    // overflow or underflow it gives no value; strtod then gives ±inf or ±0.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double d = 0.0;
+    if (std::from_chars(first, last, d).ec != std::errc{})
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    sink_.number(d);
     return true;
   }
 
   std::string_view text_;
+  Sink& sink_;
   std::size_t pos_ = 0;
   std::string error_;
+  std::string buf_;
+};
+
+/// The tree sink: builds the `Value` document from the events.
+class TreeBuilder final : public Sink {
+ public:
+  explicit TreeBuilder(Value* root) : root_(root) {}
+
+  void null() override { add(Value()); }
+  void boolean(bool b) override { add(Value(b)); }
+  void number(double d) override { add(Value(d)); }
+  void string(std::string_view s) override { add(Value(s)); }
+  void key(std::string_view k) override { open_.back().key.assign(k); }
+  void begin_array() override { open_.push_back({Value::array(), {}}); }
+  void begin_object() override { open_.push_back({Value::object(), {}}); }
+  void end_array() override { close(); }
+  void end_object() override { close(); }
+
+ private:
+  struct Open {
+    Value value;
+    std::string key;  ///< the member being read, for objects
+  };
+
+  void add(Value v) {
+    if (open_.empty()) {
+      *root_ = std::move(v);
+      return;
+    }
+    Open& top = open_.back();
+    if (top.value.is_array())
+      top.value.push_back(std::move(v));
+    else
+      top.value.set(top.key, std::move(v));
+  }
+
+  void close() {
+    Value v = std::move(open_.back().value);
+    open_.pop_back();
+    add(std::move(v));
+  }
+
+  Value* root_;
+  std::vector<Open> open_;
 };
 
 }  // namespace
 
+bool parse(std::string_view text, Sink& sink, std::string* error) {
+  return Parser(text, sink).run(error);
+}
+
 bool parse(std::string_view text, Value* out, std::string* error) {
-  return Parser(text).run(out, error);
+  TreeBuilder tree(out);
+  return parse(text, tree, error);
 }
 
 }  // namespace snap::json

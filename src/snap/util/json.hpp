@@ -9,6 +9,16 @@
 
 namespace snap::json {
 
+/// `d` as an integer when it is finite, integral and within ±2^53, the range
+/// a double holds exactly; `dflt` otherwise (so 1.5, 1e300 and NaN never
+/// reach a cast).
+[[nodiscard]] inline std::int64_t exact_int64(double d, std::int64_t dflt) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!(d >= -kMaxExact && d <= kMaxExact)) return dflt;
+  const auto i = static_cast<std::int64_t>(d);
+  return static_cast<double>(i) == d ? i : dflt;
+}
+
 /// One JSON document node — the shared wire format of the bench reports
 /// (snapbench::JsonReport) and the analytics service (snap/server).  The
 /// design goals are the ones those two consumers actually need, nothing
@@ -18,9 +28,11 @@ namespace snap::json {
 ///     shortest decimal form that round-trips through strtod, strings are
 ///     escape-correct per RFC 8259 (so a query answer serialized twice is
 ///     byte-identical, which the service's differential tests rely on);
-///   * a small recursive-descent parser with positioned error messages for
-///     the ingest/query request bodies (depth-limited, rejects trailing
-///     garbage, decodes \uXXXX escapes including surrogate pairs).
+///   * one small recursive-descent grammar with positioned error messages
+///     for the ingest/query request bodies (depth-limited, rejects trailing
+///     garbage, decodes \uXXXX escapes including surrogate pairs).  It emits
+///     events to a `Sink`; the tree below is one sink, and a consumer that
+///     needs no tree (the service's `/ingest` decoder) is another.
 ///
 /// Numbers are stored as double throughout; integral values up to 2^53
 /// therefore survive a round trip exactly, which covers every vertex id,
@@ -81,14 +93,9 @@ class Value {
   [[nodiscard]] double as_double(double dflt = 0.0) const {
     return is_number() ? num_ : dflt;
   }
-  /// Integer reads are exact or nothing: `dflt` unless the number is finite,
-  /// integral and within ±2^53, the range a double holds exactly (so 1.5,
-  /// 1e300 and NaN never reach a cast).
+  /// Integer reads are exact or nothing (see exact_int64).
   [[nodiscard]] std::int64_t as_int64(std::int64_t dflt = 0) const {
-    constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-    if (!is_number() || !(num_ >= -kMaxExact && num_ <= kMaxExact)) return dflt;
-    const auto i = static_cast<std::int64_t>(num_);
-    return static_cast<double>(i) == num_ ? i : dflt;
+    return is_number() ? exact_int64(num_, dflt) : dflt;
   }
   [[nodiscard]] const std::string& as_string() const { return str_; }
 
@@ -144,12 +151,35 @@ void escape(std::string_view s, std::string* out);
 /// fraction part.  Non-finite values (which JSON cannot represent) emit 0.
 void append_number(double d, std::string* out);
 
-/// Parse one JSON document.  Returns true and fills `*out` on success;
-/// returns false and (when `error` is non-null) a "byte N: reason" message
-/// on malformed input.  Trailing non-whitespace after the document is an
-/// error; nesting beyond 128 levels is rejected (the service parses
-/// attacker-supplied bodies — unbounded recursion would be a stack-overflow
-/// hole).
+/// Receiver of the parser's events, in document order.  An object member
+/// arrives as `key` followed by its value's events; string and key views
+/// point into the parsed text or a parser buffer and are valid only for the
+/// duration of the call.  On malformed input the events stop at the error,
+/// so a sink must not act on what it has seen until `parse` returns true.
+class Sink {
+ public:
+  virtual ~Sink() = default;
+  virtual void null() = 0;
+  virtual void boolean(bool b) = 0;
+  virtual void number(double d) = 0;
+  virtual void string(std::string_view s) = 0;
+  virtual void key(std::string_view k) = 0;
+  virtual void begin_array() = 0;
+  virtual void end_array() = 0;
+  virtual void begin_object() = 0;
+  virtual void end_object() = 0;
+};
+
+/// Parse one JSON document into `sink`.  Returns false and (when `error` is
+/// non-null) a "byte N: reason" message on malformed input.  Trailing
+/// non-whitespace after the document is an error; nesting beyond 128 levels
+/// is rejected (the service parses attacker-supplied bodies — unbounded
+/// recursion would be a stack-overflow hole).  Numbers are correctly
+/// rounded; magnitudes beyond the double range read as ±inf, below it as ±0.
+bool parse(std::string_view text, Sink& sink, std::string* error = nullptr);
+
+/// Parse one JSON document into a tree: true and `*out` filled on success,
+/// false with the same error message as above on malformed input.
 bool parse(std::string_view text, Value* out, std::string* error = nullptr);
 
 }  // namespace snap::json

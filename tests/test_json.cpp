@@ -3,9 +3,14 @@
 // service rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "snap/util/json.hpp"
 
@@ -178,6 +183,130 @@ TEST(JsonNumbers, AsInt64IsExactOrDefault) {
 TEST(JsonNumbers, NonFiniteEmitsZero) {
   EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).dump(), "0");
   EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).dump(), "0");
+}
+
+std::uint64_t bits(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+TEST(JsonNumbers, EdgeCasesReadAsStrtodDoes) {
+  // Overflow, underflow, the smallest subnormal, negative zero, 2^53 + 1
+  // (rounds to even) and a mantissa longer than a double holds: each reads
+  // as the double strtod gives the same text, bit for bit.
+  const std::string kForty = "1234567890123456789012345678901234567890";
+  for (const std::string& text :
+       {std::string("1e400"), std::string("-1e400"), std::string("1e-400"),
+        std::string("-1e-400"), std::string("4.9e-324"), std::string("-0"),
+        std::string("9007199254740993"), kForty, "0." + kForty + "e-3"})
+    EXPECT_EQ(bits(parse_ok(text).as_double()),
+              bits(std::strtod(text.c_str(), nullptr)))
+        << text;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(parse_ok("1e400").as_double(), kInf);
+  EXPECT_EQ(parse_ok("-1e400").as_double(), -kInf);
+  EXPECT_EQ(bits(parse_ok("1e-400").as_double()), bits(0.0));
+  EXPECT_EQ(parse_ok("4.9e-324").as_double(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::signbit(parse_ok("-0").as_double()));
+  EXPECT_EQ(parse_ok("9007199254740993").as_double(), 9007199254740992.0);
+  EXPECT_EQ(parse_ok(kForty).as_double(), 1.2345678901234568e39);
+
+  // ...and reads back out as integers and text the same way.
+  struct Case {
+    std::string text;
+    std::int64_t as_int;  // as_int64(-1)
+    const char* dump;
+  };
+  for (const Case& c : {Case{"1e400", -1, "0"}, Case{"-1e400", -1, "0"},
+                        Case{"1e-400", 0, "0"},
+                        Case{"4.9e-324", -1, "4.94065645841247e-324"},
+                        Case{"-0", 0, "-0"},
+                        Case{"9007199254740993", std::int64_t{1} << 53,
+                             "9007199254740992"},
+                        Case{kForty, -1, "1.2345678901234568e+39"}}) {
+    const Value v = parse_ok(c.text);
+    EXPECT_EQ(v.as_int64(-1), c.as_int) << c.text;
+    EXPECT_EQ(v.dump(), c.dump) << c.text;
+  }
+}
+
+TEST(JsonParse, StringRunsAndEscapes) {
+  // Escapes at either end of a plain run, and between runs.
+  EXPECT_EQ(parse_ok("\"\\tabc\"").as_string(), "\tabc");
+  EXPECT_EQ(parse_ok("\"abc\\t\"").as_string(), "abc\t");
+  EXPECT_EQ(parse_ok("\"\\t\"").as_string(), "\t");
+  EXPECT_EQ(parse_ok("\"a\\\"b\\\"c\"").as_string(), "a\"b\"c");
+  EXPECT_EQ(parse_ok("\"\\u0041bc\\\\\"").as_string(), "Abc\\");
+  EXPECT_EQ(parse_ok("{\"a\\u0062\":\"x\",\"ab\":\"y\"}").dump(),
+            "{\"ab\":\"y\"}");
+  // Errors keep their byte offsets.
+  struct Case {
+    std::string text;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{"\"abc\\", "byte 5: truncated escape"},
+        Case{"\"\\", "byte 2: truncated escape"},
+        Case{"\"abc\\\"", "byte 6: unterminated string"},
+        Case{"\"ab\\n", "byte 5: unterminated string"},
+        Case{"\"", "byte 1: unterminated string"},
+        Case{"\"ab\ncd\"", "byte 4: raw control character in string"},
+        Case{"\"\\tab\x01\"", "byte 6: raw control character in string"},
+        Case{"{\"a\\u0062\":1,\"a\nb\":2}",
+             "byte 16: raw control character in string"},
+        Case{"\"ab\\q\"", "byte 5: invalid escape character"},
+        Case{"[\"x\",\"y\\z\"]", "byte 9: invalid escape character"},
+        Case{"\"ab\\u00\"", "byte 5: truncated \\u escape"}})
+    EXPECT_EQ(parse_fail(c.text), c.error) << c.text;
+}
+
+/// Records every event as one token: n, b:1, #:2.5, s:text, k:key, [ ] { }.
+class RecordingSink final : public snap::json::Sink {
+ public:
+  void null() override { events.emplace_back("n"); }
+  void boolean(bool b) override { events.push_back(b ? "b:1" : "b:0"); }
+  void number(double d) override {
+    events.push_back("#:" + Value(d).dump());
+  }
+  void string(std::string_view s) override {
+    events.push_back("s:" + std::string(s));
+  }
+  void key(std::string_view k) override {
+    events.push_back("k:" + std::string(k));
+  }
+  void begin_array() override { events.emplace_back("["); }
+  void end_array() override { events.emplace_back("]"); }
+  void begin_object() override { events.emplace_back("{"); }
+  void end_object() override { events.emplace_back("}"); }
+
+  std::vector<std::string> events;
+};
+
+TEST(JsonSink, EventsArriveInDocumentOrder) {
+  RecordingSink sink;
+  std::string err;
+  ASSERT_TRUE(snap::json::parse(
+      R"({"a":[1,{"b\n":null,"c":[]},"x\u0041"],"d":{"e":true,"f":{}},"g":-2.5})",
+      sink, &err))
+      << err;
+  const std::vector<std::string> want = {
+      "{",                                               //
+      "k:a", "[", "#:1",                                 //
+      "{", "k:b\n", "n", "k:c", "[", "]", "}",           //
+      "s:xA", "]",                                       //
+      "k:d", "{", "k:e", "b:1", "k:f", "{", "}", "}",    //
+      "k:g", "#:-2.5",                                   //
+      "}"};
+  EXPECT_EQ(sink.events, want);
+
+  // Malformed input: the events stop where the error is.
+  RecordingSink partial;
+  EXPECT_FALSE(snap::json::parse("[1,{\"k\":tru}]", partial, &err));
+  EXPECT_EQ(err, "byte 8: invalid literal");
+  EXPECT_EQ(partial.events,
+            (std::vector<std::string>{"[", "#:1", "{", "k:k"}));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -380,6 +381,14 @@ TEST_F(ServiceTest, ErrorPaths) {
       {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":1.5,\"v\":1}]}",
        400},
       {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":0}]}", 400},
+      // A good record before a bad one must not be applied either.
+      {"POST", "/ingest",
+       "{\"updates\":[{\"op\":\"insert\",\"u\":6,\"v\":7},"
+       "{\"op\":\"insert\",\"u\":-1,\"v\":7}]}",
+       400},
+      // ...nor one before malformed JSON.
+      {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":6,\"v\":7},",
+       400},
       {"GET", "/community?algo=sorcery", "", 400},
       {"GET", "/bc-topk?k=0", "", 400},
       {"GET", "/bc-topk?k=frog", "", 400},
@@ -388,6 +397,8 @@ TEST_F(ServiceTest, ErrorPaths) {
       {"GET", "/pagerank-topk?iters=nope", "", 400},
       {"POST", "/pagerank-topk", "", 405},
   };
+  Value before;
+  ASSERT_TRUE(snap::json::parse(get("/stats").body, &before, nullptr));
   for (const Case& c : cases) {
     const HttpResult r =
         http_request("127.0.0.1", port_, c.method, c.target, c.body);
@@ -396,6 +407,12 @@ TEST_F(ServiceTest, ErrorPaths) {
     ASSERT_TRUE(snap::json::parse(r.body, &doc, nullptr))
         << c.target << " body: " << r.body;
     EXPECT_TRUE(doc.get("error").is_string()) << c.target;
+    if (std::string_view(c.target) != "/ingest") continue;
+    // A rejected ingest changes nothing: same epoch, same edges.
+    Value stats;
+    ASSERT_TRUE(snap::json::parse(get("/stats").body, &stats, nullptr));
+    EXPECT_EQ(stats.get("epoch"), before.get("epoch")) << c.body;
+    EXPECT_EQ(stats.get("num_edges"), before.get("num_edges")) << c.body;
   }
 }
 

@@ -15,6 +15,7 @@
 // DIMACS, .graph/.metis METIS, .net/.pajek Pajek, .bin binary) or forced
 // with --in-format/--out-format.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -48,7 +49,6 @@
 #include "snap/partition/spectral.hpp"
 #include "snap/server/http.hpp"
 #include "snap/server/service.hpp"
-#include "snap/util/json.hpp"
 #include "snap/util/parallel.hpp"
 #include "snap/util/timer.hpp"
 
@@ -407,37 +407,49 @@ int cmd_robustness(const Args& a) {
 // --------------------------------------------------------------------------
 // The analytics daemon (docs/SERVICE.md) and its client.
 
+/// The `POST /ingest` body inserting every edge of `g` once, rendered as
+/// text: a document tree of a large preload costs ~600 B per record.
+std::string preload_body(const CSRGraph& g) {
+  std::string body = "{\"updates\":[";
+  char buf[24];
+  const char* sep = "";
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    for (const vid_t u : g.neighbors(v)) {
+      if (!g.directed() && u > v) continue;  // one record per logical edge
+      body += sep;
+      body += "{\"op\":\"insert\",\"u\":";
+      body.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+      body += ",\"v\":";
+      body.append(buf, std::to_chars(buf, buf + sizeof buf, u).ptr);
+      body += '}';
+      sep = ",";
+    }
+  }
+  body += "]}";
+  return body;
+}
+
 int cmd_serve(const Args& a) {
   const bool directed = a.has("directed");
   // Preload loads first so the service is sized to the file's full vertex
   // count — an insert stream alone cannot create trailing isolated
-  // vertices (the graph only grows to the largest referenced id).
-  CSRGraph preload;
-  if (a.has("in")) preload = load(a);
-  server::GraphService service(
-      std::max<vid_t>(a.geti("n", 0), preload.num_vertices()), directed);
+  // vertices (the graph only grows to the largest referenced id).  The
+  // file's graph and the request body are released before serving.
+  vid_t n = a.geti("n", 0);
+  server::HttpRequest preload;
+  if (a.has("in")) {
+    const CSRGraph g = load(a);
+    n = std::max(n, g.num_vertices());
+    preload.body = preload_body(g);
+  }
+  server::GraphService service(n, directed);
 
   // Push the preload through the same handler the wire uses.
   if (a.has("in")) {
-    const CSRGraph& g = preload;
-    json::Value updates = json::Value::array();
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      for (const vid_t u : g.neighbors(v)) {
-        if (!g.directed() && u > v) continue;  // one record per logical edge
-        json::Value rec = json::Value::object();
-        rec.set("op", "insert");
-        rec.set("u", v);
-        rec.set("v", u);
-        updates.push_back(rec);
-      }
-    }
-    json::Value doc = json::Value::object();
-    doc.set("updates", updates);
-    server::HttpRequest req;
-    req.method = "POST";
-    req.path = "/ingest";
-    req.body = doc.dump();
-    const server::HttpResponse resp = service.handle(req);
+    preload.method = "POST";
+    preload.path = "/ingest";
+    const server::HttpResponse resp = service.handle(preload);
+    preload = {};
     if (resp.status != 200) {
       std::fprintf(stderr, "preload failed: %s\n", resp.body.c_str());
       return 1;
