@@ -67,7 +67,7 @@ EdgeList prepare_edges_serial(vid_t n, const EdgeList& input, bool directed,
 /// via a prefix sum over buffer sizes; out-of-range ids are aggregated (the
 /// lowest offending input index) instead of thrown mid-loop, so the error a
 /// caller sees does not depend on scheduling.  Dedupe is parallel_sort on
-/// the (u, v, w) key followed by a keep-flag prefix-sum `unique` compaction.
+/// the (u, v, w) key followed by a parallel_pack `unique` compaction.
 EdgeList prepare_edges_parallel(vid_t n, const EdgeList& input, bool directed,
                                 const BuildOptions& opts) {
   const std::size_t in_sz = input.size();
@@ -116,20 +116,14 @@ EdgeList prepare_edges_parallel(vid_t n, const EdgeList& input, bool directed,
                                   offs[static_cast<std::size_t>(t)]));
   });
 
-  if (opts.dedupe && !edges.empty()) {
+  if (opts.dedupe) {
     parallel::parallel_sort(edges.begin(), edges.end(), edge_key_less);
-    const std::size_t ne = edges.size();
-    std::vector<std::size_t> keep(ne);
-    parallel::parallel_for(ne, [&](std::size_t i) {
-      keep[i] = (i == 0 || !same_endpoints(edges[i - 1], edges[i])) ? 1 : 0;
-    });
-    std::vector<std::size_t> kpos;
-    parallel::exclusive_prefix_sum(keep, kpos);
-    EdgeList out(kpos[ne]);
-    parallel::parallel_for(ne, [&](std::size_t i) {
-      if (keep[i]) out[kpos[i]] = edges[i];
-    });
-    edges.swap(out);
+    edges = parallel::parallel_pack<Edge>(
+        edges.size(),
+        [&](std::size_t i) {
+          return i == 0 || !same_endpoints(edges[i - 1], edges[i]);
+        },
+        [&](std::size_t i) { return edges[i]; });
   }
   return edges;
 }

@@ -89,42 +89,85 @@ eid_t DynamicGraph::degree(vid_t v) const {
                            : static_cast<eid_t>(treap_[v].size());
 }
 
-void DynamicGraph::for_each_neighbor(
-    vid_t v, const std::function<void(vid_t)>& fn)  // lint:allow(std-function)
-    const {
-  for_each_neighbor(v, [&fn](vid_t u) { fn(u); });
-}
-
 CSRGraph DynamicGraph::to_csr() const {
+  // The image CSRGraph::from_edges builds from this graph's edge list (self
+  // loops kept), filled straight from the rows: from_edges numbers the
+  // logical edges in (u, v) order, u <= v when undirected, and stores both
+  // arcs of every edge — an undirected self loop as two arcs u -> u.
   const vid_t n = num_vertices();
-  // Two passes: per-vertex emitted-edge counts -> prefix sum -> parallel fill
-  // of disjoint slices.  Slice order is the deterministic per-vertex visit
-  // order, so the edge list (and the CSR built from it) is identical at every
-  // thread count.
-  std::vector<eid_t> cnt(static_cast<std::size_t>(n), 0);
-  parallel::parallel_for(n, [&](vid_t u) {
-    eid_t c = 0;
+
+  // Pass 1: each row's CSR length and the logical edges it owns — every arc
+  // when directed, else the arcs u -> v with v >= u.
+  std::vector<eid_t> len(static_cast<std::size_t>(n));
+  std::vector<eid_t> own(static_cast<std::size_t>(n));
+  parallel::parallel_for_dynamic(n, [&](vid_t u) {
+    eid_t row_len = 0;
+    eid_t owned = 0;
     for_each_neighbor(u, [&](vid_t v) {
-      if (directed_ || u <= v) ++c;
+      row_len += !directed_ && v == u ? 2 : 1;
+      owned += directed_ || v >= u ? 1 : 0;
     });
-    cnt[static_cast<std::size_t>(u)] = c;
+    len[u] = row_len;
+    own[u] = owned;
   });
-  std::vector<eid_t> offs;
-  parallel::exclusive_prefix_sum(cnt, offs);
-  EdgeList edges(static_cast<std::size_t>(offs[static_cast<std::size_t>(n)]));
-  parallel::parallel_for(n, [&](vid_t u) {
-    eid_t at = offs[static_cast<std::size_t>(u)];
+  std::vector<eid_t> off, first_edge;
+  parallel::exclusive_prefix_sum(len, off);
+  parallel::exclusive_prefix_sum(own, first_edge);
+  const eid_t m = first_edge[n];
+  const auto arcs = static_cast<std::size_t>(off[n]);
+
+  // Pass 2: copy each row sorted (treaps walk in order; flat rows hold at
+  // most promote_threshold_ entries and sort in place), then number the
+  // owned arcs — a sorted suffix of the row — in (u, v) order.  An
+  // undirected self loop's twin arc shares its edge id.
+  std::vector<vid_t> adj(arcs);
+  std::vector<eid_t> ids(arcs);
+  EdgeList edges(static_cast<std::size_t>(m));
+  parallel::parallel_for_dynamic(n, [&](vid_t u) {
+    const auto row = adj.begin() + off[u];
+    const auto end = adj.begin() + off[u + 1];
+    auto at = row;
     for_each_neighbor(u, [&](vid_t v) {
-      if (directed_ || u <= v) edges[static_cast<std::size_t>(at++)] = {u, v, 1.0};
+      *at++ = v;
+      if (!directed_ && v == u) *at++ = v;
     });
+    SNAP_DCHECK(at == end, "row ", u, " outgrew its pass-1 length");
+    if (!is_promoted(u)) std::sort(row, end);
+    const eid_t lo =
+        (directed_ ? row : std::lower_bound(row, end, u)) - adj.begin();
+    eid_t e = first_edge[u];
+    for (eid_t a = lo; a < off[u + 1]; ++a) {
+      if (a > lo && adj[a] == adj[a - 1]) {
+        ids[a] = ids[a - 1];
+        continue;
+      }
+      ids[a] = e;
+      edges[e++] = {u, adj[a], 1.0};
+    }
+    SNAP_DCHECK(e == first_edge[u + 1], "row ", u, " numbered ",
+                e - first_edge[u], " owned arcs, pass 1 counted ",
+                first_edge[u + 1] - first_edge[u]);
   });
-  // Keep self loops: the adjacency structures store them (one arc, one
-  // logical edge), so the default remove_self_loops=true would silently
-  // shrink the snapshot below num_edges().  Dedupe stays on purely for its
-  // canonical (u, v, w) edge ordering — arcs are already unique here.
-  BuildOptions opts;
-  opts.remove_self_loops = false;
-  CSRGraph g = CSRGraph::from_edges(n, edges, directed_, opts);
+
+  // Pass 3 (undirected): an arc u -> v with v < u carries the id that
+  // v -> u got in pass 2, found by binary search in v's sorted row.
+  if (!directed_) {
+    parallel::parallel_for_dynamic(n, [&](vid_t u) {
+      for (eid_t a = off[u]; a < off[u + 1] && adj[a] < u; ++a) {
+        const vid_t v = adj[a];
+        const auto mirror = std::lower_bound(adj.begin() + off[v],
+                                             adj.begin() + off[v + 1], u);
+        SNAP_DCHECK(mirror != adj.begin() + off[v + 1] && *mirror == u,
+                    "arc (", u, ",", v, ") has no mirror: adjacency asymmetry");
+        ids[a] = ids[mirror - adj.begin()];
+      }
+    });
+  }
+
+  CSRGraph g = CSRGraph::from_parts(
+      n, m, directed_, /*weighted=*/false, /*sorted=*/true, std::move(off),
+      std::move(adj), std::vector<weight_t>(arcs, 1.0), std::move(ids),
+      std::move(edges));
   SNAP_DCHECK(g.num_edges() == m_, "to_csr emitted ", g.num_edges(),
               " edges but the dynamic graph tracks ", m_);
   return g;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "snap/debug/fwd.hpp"
@@ -54,9 +53,9 @@ class DynamicGraph {
   /// True if v's adjacency currently lives in a treap.
   [[nodiscard]] bool is_promoted(vid_t v) const { return !treap_[v].empty(); }
 
-  /// Visit every neighbor of v.  Template form: the visitor inlines into the
-  /// adjacency walk (flat array or treap), which is what the streaming
-  /// observers' and to_csr's hot loops want.
+  /// Visit every neighbor of v: a flat row in insertion order, a treap in
+  /// ascending order.  The visitor inlines into the adjacency walk, which is
+  /// what the streaming observers' and to_csr's hot loops want.
   template <typename Fn>
   void for_each_neighbor(vid_t v, Fn&& fn) const {
     const auto s = static_cast<std::size_t>(v);
@@ -67,15 +66,11 @@ class DynamicGraph {
     }
   }
 
-  /// ABI-friendly non-template overload (kept for existing out-of-line
-  /// callers; lambdas resolve to the template above).
-  void for_each_neighbor(vid_t v,
-                         const std::function<void(vid_t)>& fn)  // lint:allow(std-function)
-      const;
-
-  /// Snapshot to the static CSR representation (sorted adjacency).  Edge
-  /// extraction is parallel (per-vertex counts + prefix sum); the result is
-  /// identical at every thread count.
+  /// Snapshot to the static CSR representation: the image
+  /// CSRGraph::from_edges builds from this graph's edges (self loops kept),
+  /// byte for byte, filled straight from the sorted rows in three parallel
+  /// passes (count, copy + number owned arcs, mirror ids).  Identical at
+  /// every thread count.
   [[nodiscard]] CSRGraph to_csr() const;
 
   /// Load all edges of a CSR graph (must share directedness).

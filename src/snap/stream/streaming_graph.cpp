@@ -36,7 +36,17 @@ void StreamingGraph::add_observer(StreamObserver* obs) {
 }
 
 ApplyStats StreamingGraph::apply(const UpdateBatch& batch) {
-  return apply_canonical(batch.canonicalize(graph_.directed()));
+  // The canonical batch is a temporary of this full expression and the
+  // AppliedBatch a local of apply_canonical, so both are freed before the
+  // eager publish allocates the new snapshot.
+  const ApplyStats st = apply_canonical(batch.canonicalize(graph_.directed()));
+
+  // Eager mode: materialize and publish this epoch's snapshot before apply
+  // returns, on the writer thread.  Readers pinning concurrently keep
+  // seeing the previous epoch until the pointer swap; their handles keep
+  // superseded snapshots alive until unpinned (RCU-style reclamation).
+  if (eager_) (void)publish_snapshot();
+  return st;
 }
 
 ApplyStats StreamingGraph::apply_serial(const UpdateBatch& batch) {
@@ -61,17 +71,14 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
     // updates landing in one vertex's adjacency; groups are applied with
     // dynamic scheduling (hub vertices can receive most of a batch), each
     // group entirely by one thread — the no-lock ownership discipline.
-    std::vector<eid_t> head(na);
-    parallel::parallel_for(na, [&](std::size_t i) {
-      head[i] = (i == 0 || arcs[i].owner != arcs[i - 1].owner) ? 1 : 0;
-    });
-    std::vector<eid_t> group_of;
-    parallel::exclusive_prefix_sum(head, group_of);
-    const auto ngroups = static_cast<std::size_t>(group_of[na]);
-    std::vector<std::size_t> group_begin(ngroups + 1, na);
-    parallel::parallel_for(na, [&](std::size_t i) {
-      if (head[i]) group_begin[static_cast<std::size_t>(group_of[i])] = i;
-    });
+    std::vector<std::size_t> group_begin = parallel::parallel_pack<std::size_t>(
+        na,
+        [&](std::size_t i) {
+          return i == 0 || arcs[i].owner != arcs[i - 1].owner;
+        },
+        [](std::size_t i) { return i; });
+    const std::size_t ngroups = group_begin.size();
+    group_begin.push_back(na);
 
     // Apply.  insert_arc/delete_arc report whether the arc actually changed
     // state; within a group arcs are applied in (nbr, seq) order, so flat
@@ -95,25 +102,19 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
     // an edge are always both effective or both not (the adjacency mirror
     // invariant plus symmetric canonicalization), so the owner <= nbr arc
     // stands for the edge.  Compaction keeps the sorted (u, v) order.
-    std::vector<eid_t> fi(na), fd(na);
-    parallel::parallel_for(na, [&](std::size_t i) {
-      const ArcUpdate& a = arcs[i];
-      const bool logical = eff[i] && (directed || a.owner <= a.nbr);
-      fi[i] = (logical && a.kind == UpdateKind::kInsert) ? 1 : 0;
-      fd[i] = (logical && a.kind == UpdateKind::kDelete) ? 1 : 0;
-    });
-    std::vector<eid_t> oi, od;
-    parallel::exclusive_prefix_sum(fi, oi);
-    parallel::exclusive_prefix_sum(fd, od);
-    ab.inserted.resize(static_cast<std::size_t>(oi[na]));
-    ab.deleted.resize(static_cast<std::size_t>(od[na]));
-    parallel::parallel_for(na, [&](std::size_t i) {
-      const ArcUpdate& a = arcs[i];
-      if (fi[i])
-        ab.inserted[static_cast<std::size_t>(oi[i])] = {a.owner, a.nbr};
-      if (fd[i])
-        ab.deleted[static_cast<std::size_t>(od[i])] = {a.owner, a.nbr};
-    });
+    const auto effective = [&](UpdateKind kind) {
+      return [&, kind](std::size_t i) {
+        const ArcUpdate& a = arcs[i];
+        return eff[i] && a.kind == kind && (directed || a.owner <= a.nbr);
+      };
+    };
+    const auto endpoints = [&](std::size_t i) {
+      return std::pair{arcs[i].owner, arcs[i].nbr};
+    };
+    ab.inserted = parallel::parallel_pack<std::pair<vid_t, vid_t>>(
+        na, effective(UpdateKind::kInsert), endpoints);
+    ab.deleted = parallel::parallel_pack<std::pair<vid_t, vid_t>>(
+        na, effective(UpdateKind::kDelete), endpoints);
 
     graph_.m_ += static_cast<eid_t>(ab.inserted.size()) -
                  static_cast<eid_t>(ab.deleted.size());
@@ -132,12 +133,6 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
   ab.num_vertices = graph_.num_vertices();
   ab.graph = &graph_;
   for (StreamObserver* obs : observers_) obs->on_batch(ab);
-
-  // Eager mode: materialize and publish this epoch's snapshot before apply
-  // returns, on the writer thread.  Readers pinning concurrently keep
-  // seeing the previous epoch until the pointer swap; their handles keep
-  // superseded snapshots alive until unpinned (RCU-style reclamation).
-  if (eager_) (void)publish_snapshot();
   return st;
 }
 

@@ -60,21 +60,15 @@ CanonicalBatch UpdateBatch::canonicalize(bool directed) const {
       });
 
   // Last-writer-wins dedupe: keep the final (highest-seq) record of every
-  // (owner, nbr) run, compacted with a prefix sum.
+  // (owner, nbr) run.
   const std::size_t na = arcs.size();
-  std::vector<eid_t> keep(na);
-  parallel::parallel_for(na, [&](std::size_t i) {
-    keep[i] = (i + 1 == na || arcs[i + 1].owner != arcs[i].owner ||
-               arcs[i + 1].nbr != arcs[i].nbr)
-                  ? 1
-                  : 0;
-  });
-  std::vector<eid_t> offs;
-  parallel::exclusive_prefix_sum(keep, offs);
-  out.arcs.resize(static_cast<std::size_t>(offs[na]));
-  parallel::parallel_for(na, [&](std::size_t i) {
-    if (keep[i]) out.arcs[static_cast<std::size_t>(offs[i])] = arcs[i];
-  });
+  out.arcs = parallel::parallel_pack<ArcUpdate>(
+      na,
+      [&](std::size_t i) {
+        return i + 1 == na || arcs[i + 1].owner != arcs[i].owner ||
+               arcs[i + 1].nbr != arcs[i].nbr;
+      },
+      [&](std::size_t i) { return arcs[i]; });
   return out;
 }
 

@@ -61,9 +61,9 @@ class UpdateBatch {
   }
 
   /// Parallel canonicalization: undirected arc expansion, sample sort by
-  /// (owner, nbr, seq), last-writer-wins dedupe via flag + prefix-sum
-  /// compaction.  Every step is a pure function of the record sequence, so
-  /// the result is identical at every thread count.
+  /// (owner, nbr, seq), last-writer-wins dedupe via parallel::parallel_pack.
+  /// Every step is a pure function of the record sequence, so the result is
+  /// identical at every thread count.
   [[nodiscard]] CanonicalBatch canonicalize(bool directed) const;
 
  private:

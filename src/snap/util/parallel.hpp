@@ -202,6 +202,45 @@ void exclusive_prefix_sum(const std::vector<T>& in, std::vector<T>& out) {
   exclusive_prefix_sum(in.data(), out.data(), in.size());
 }
 
+namespace detail {
+/// Below this many candidates parallel_pack runs on one thread.
+inline constexpr std::size_t kParallelPackCutoff = 1 << 12;
+}  // namespace detail
+
+/// Stable compaction: `make(i)` for every i in [0, n) with `keep(i)`, in
+/// index order.  Each thread counts the kept elements of its contiguous
+/// block, one scan over the block counts places the blocks, and each thread
+/// fills its slice — O(threads) scratch instead of a per-element flag and
+/// offset array, and the same output at every thread count.  `keep` runs
+/// twice per element and, like `make`, must be safe to call concurrently
+/// for distinct i.
+template <typename T, typename Keep, typename Make>
+std::vector<T> parallel_pack(std::size_t n, Keep&& keep, Make&& make) {
+  const int nt =
+      n < detail::kParallelPackCutoff ? 1 : std::max(1, num_threads());
+  const auto bound = [&](int t) {
+    return n * static_cast<std::size_t>(t) / static_cast<std::size_t>(nt);
+  };
+  std::vector<std::size_t> start(static_cast<std::size_t>(nt) + 1, 0);
+  run_team(nt, [&](int t) {
+    const std::size_t hi = bound(t + 1);
+    std::size_t kept = 0;
+    for (std::size_t i = bound(t); i < hi; ++i)
+      if (keep(i)) ++kept;
+    start[static_cast<std::size_t>(t) + 1] = kept;
+  });
+  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
+    start[t + 1] += start[t];
+  std::vector<T> out(start.back());
+  run_team(nt, [&](int t) {
+    const std::size_t hi = bound(t + 1);
+    std::size_t at = start[static_cast<std::size_t>(t)];
+    for (std::size_t i = bound(t); i < hi; ++i)
+      if (keep(i)) out[at++] = make(i);
+  });
+  return out;
+}
+
 /// Parallel max-reduction of f(i) over [0, n); returns `identity` for n = 0.
 /// Per-thread partials are combined in thread order (deterministic).
 template <typename T, typename Index, typename F>

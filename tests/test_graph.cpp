@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "snap/gen/generators.hpp"
 #include "snap/graph/csr_graph.hpp"
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/graph/subgraph.hpp"
+#include "snap/util/parallel.hpp"
 #include "snap/util/rng.hpp"
 
 namespace snap {
@@ -292,6 +297,105 @@ TEST_P(DynamicGraphPromotion, FromCsrToCsrRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, DynamicGraphPromotion,
                          ::testing::Values(1, 2, 128));
+
+// to_csr fills the CSR arrays straight from the rows and must equal, byte
+// for byte, the image from_edges builds from the rows' edge list.
+
+template <typename T>
+std::vector<T> to_vec(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+CSRGraph to_csr_via_edge_list(const DynamicGraph& d) {
+  EdgeList edges;
+  for (vid_t u = 0; u < d.num_vertices(); ++u)
+    d.for_each_neighbor(u, [&](vid_t v) {
+      if (d.directed() || u <= v) edges.push_back({u, v, 1.0});
+    });
+  return CSRGraph::from_edges(d.num_vertices(), edges, d.directed(),
+                              {.remove_self_loops = false});
+}
+
+/// A random update stream over a growing vertex set: a few hubs take a
+/// quarter of the inserts (so they cross even a 128 promote threshold),
+/// one insert in 16 is a self loop, and a quarter of the updates delete an
+/// earlier insert.
+DynamicGraph random_stream_graph(vid_t n0, int updates, bool directed,
+                                 eid_t threshold, std::uint64_t seed) {
+  DynamicGraph d(n0, directed, threshold);
+  SplitMix64 rng(seed);
+  std::vector<std::pair<vid_t, vid_t>> inserted;
+  for (int i = 0; i < updates; ++i) {
+    if (rng.next_bounded(64) == 0) d.add_vertex();
+    const auto n = static_cast<std::uint64_t>(d.num_vertices());
+    if (!inserted.empty() && rng.next_bounded(4) == 0) {
+      const auto [u, v] = inserted[rng.next_bounded(inserted.size())];
+      d.delete_edge(u, v);
+      continue;
+    }
+    const std::uint64_t hubs = std::min<std::uint64_t>(n, 3);
+    const auto u = static_cast<vid_t>(rng.next_bounded(4) == 0
+                                          ? rng.next_bounded(hubs)
+                                          : rng.next_bounded(n));
+    const vid_t v = rng.next_bounded(16) == 0
+                        ? u
+                        : static_cast<vid_t>(rng.next_bounded(n));
+    if (d.insert_edge(u, v)) inserted.emplace_back(u, v);
+  }
+  return d;
+}
+
+TEST(DynamicGraph, ToCsrMatchesFromEdges) {
+  struct Case {
+    const char* name;
+    vid_t n0;
+    int updates;
+  };
+  const Case cases[] = {{"n=0", 0, 0},
+                        {"edgeless", 9, 0},
+                        {"stream", 400, 6000},
+                        // past the prefix sums' parallel cutoff
+                        {"large stream", 5000, 40000}};
+  for (const bool directed : {false, true}) {
+    for (const eid_t threshold : {1, 2, 128}) {
+      for (const Case& c : cases) {
+        const DynamicGraph d = random_stream_graph(
+            c.n0, c.updates, directed, threshold,
+            static_cast<std::uint64_t>(c.updates) + 7);
+        const std::string what = std::string(c.name) +
+                                 (directed ? " directed" : " undirected") +
+                                 " threshold " + std::to_string(threshold);
+        if (c.updates > 0) {
+          // The stream must reach treap rows, self loops and growth.
+          bool promoted = false;
+          bool loop = false;
+          for (vid_t v = 0; v < d.num_vertices(); ++v) {
+            promoted |= d.is_promoted(v);
+            loop |= d.has_edge(v, v);
+          }
+          ASSERT_TRUE(promoted && loop && d.num_vertices() > c.n0) << what;
+        }
+        const CSRGraph want = to_csr_via_edge_list(d);
+        for (const int threads : {1, 2, 4, 8}) {
+          parallel::ThreadScope scope(threads);
+          const CSRGraph got = d.to_csr();
+          SCOPED_TRACE(what + " threads " + std::to_string(threads));
+          ASSERT_EQ(got.num_vertices(), want.num_vertices());
+          ASSERT_EQ(got.num_edges(), want.num_edges());
+          ASSERT_EQ(got.directed(), want.directed());
+          EXPECT_EQ(to_vec(got.row_offsets()), to_vec(want.row_offsets()));
+          EXPECT_EQ(to_vec(got.adjacency()), to_vec(want.adjacency()));
+          EXPECT_EQ(to_vec(got.arc_weights()), to_vec(want.arc_weights()));
+          EXPECT_EQ(to_vec(got.arc_edge_id_array()),
+                    to_vec(want.arc_edge_id_array()));
+          EXPECT_EQ(got.edges(), want.edges());
+          EXPECT_EQ(got.weighted(), want.weighted());
+          EXPECT_EQ(got.adjacency_sorted(), want.adjacency_sorted());
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace snap

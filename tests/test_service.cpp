@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -454,6 +455,13 @@ TEST_F(ServiceTest, MalformedHttpGetsA400) {
 
 TEST_F(ServiceTest, ConcurrentIngestAndQuery) {
   seed();
+  // The server's two workers each serve one keep-alive connection until it
+  // closes, and the readers loop until the writer is done, so the writer
+  // connects first: two readers accepted ahead of it would hold both
+  // workers and the writer would never be served.
+  HttpClient writer;
+  std::string writer_err;
+  ASSERT_TRUE(writer.connect("127.0.0.1", port_, &writer_err)) << writer_err;
   std::atomic<bool> done{false};
   std::atomic<int> reads{0};
   std::vector<std::thread> readers;
@@ -476,9 +484,13 @@ TEST_F(ServiceTest, ConcurrentIngestAndQuery) {
       }
     });
   }
-  HttpClient writer;
-  std::string err;
-  ASSERT_TRUE(writer.connect("127.0.0.1", port_, &err)) << err;
+  // Ingest only once a reader is being served, so the reads overlap the
+  // writes however fast an ingest is.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reads.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
   for (int i = 0; i < 50; ++i) {
     Value updates = Value::array();
     Value u = Value::object();

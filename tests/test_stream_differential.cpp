@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,18 +35,24 @@ using stream::UpdateBatch;
 using stream::UpdateRecord;
 using stream::UpdateKind;
 
+template <typename T>
+bool same(std::span<const T> a, std::span<const T> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
 void expect_same_csr(const CSRGraph& a, const CSRGraph& b,
                      const char* what) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices()) << what;
   ASSERT_EQ(a.num_edges(), b.num_edges()) << what;
   ASSERT_EQ(a.num_arcs(), b.num_arcs()) << what;
-  for (vid_t v = 0; v < a.num_vertices(); ++v) {
-    ASSERT_EQ(a.arc_begin(v), b.arc_begin(v)) << what << " offsets @" << v;
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << what << " adjacency @" << v;
-  }
+  ASSERT_TRUE(same(a.row_offsets(), b.row_offsets())) << what << " offsets";
+  ASSERT_TRUE(same(a.adjacency(), b.adjacency())) << what << " adjacency";
+  ASSERT_TRUE(same(a.arc_weights(), b.arc_weights())) << what << " weights";
+  ASSERT_TRUE(same(a.arc_edge_id_array(), b.arc_edge_id_array()))
+      << what << " arc edge ids";
+  ASSERT_EQ(a.edges(), b.edges()) << what << " edges";
+  ASSERT_EQ(a.weighted(), b.weighted()) << what;
+  ASSERT_EQ(a.adjacency_sorted(), b.adjacency_sorted()) << what;
 }
 
 /// A stream of batches over a biased vertex range, so deletions often hit

@@ -254,6 +254,40 @@ TEST(ParallelSort, TotalOrderKeyIsThreadCountInvariant) {
     EXPECT_EQ(results[i], results[0]) << "thread config " << i;
 }
 
+// --- parallel_pack: stable compaction vs a serial filter ---
+
+using PackCase =
+    std::tuple<int /*threads*/, std::size_t /*n*/, int /*keep one in k*/>;
+
+class ParallelPackTest : public ::testing::TestWithParam<PackCase> {};
+
+TEST_P(ParallelPackTest, MatchesSerialFilter) {
+  const auto [threads, n, k] = GetParam();
+  // k = 0 keeps nothing, k = 1 everything, else a scattered one in k.
+  const auto keep = [k = k](std::size_t i) {
+    return k != 0 && ((i * 0x9E3779B97F4A7C15ULL) >> 40) % k == 0;
+  };
+  const auto make = [](std::size_t i) {
+    return static_cast<std::int64_t>(3 * i + 1);
+  };
+  std::vector<std::int64_t> want;
+  for (std::size_t i = 0; i < n; ++i)
+    if (keep(i)) want.push_back(make(i));
+  parallel::ThreadScope scope(threads);
+  EXPECT_EQ(parallel::parallel_pack<std::int64_t>(n, keep, make), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsSizesDensities, ParallelPackTest,
+    ::testing::Combine(
+        ::testing::Values(1, 2, 4, 8),
+        // straddle the serial cutoff
+        ::testing::Values(std::size_t{0}, std::size_t{1}, std::size_t{100},
+                          parallel::detail::kParallelPackCutoff - 1,
+                          parallel::detail::kParallelPackCutoff,
+                          std::size_t{100000}),
+        ::testing::Values(0, 1, 3, 1000)));
+
 TEST(Parallel, ReduceMax) {
   parallel::ThreadScope scope(4);
   const std::int64_t n = 100000;
