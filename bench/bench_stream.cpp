@@ -10,6 +10,9 @@
 // CI can run this as a smoke step, but keeps the 100k-update batch and the
 // 8-thread point: the JSON records a "speedup" entry for batched parallel at
 // the top thread count vs the serial single-edge loop on the largest batch.
+// Every record has its own phase (serial_single_edge:<mode>,
+// batched:<mode>:b<size>:t<threads>, speedup:<mode>), the key
+// tools/bench_compare.py matches baselines on.
 
 #include <cstdio>
 #include <string>
@@ -143,8 +146,10 @@ int main(int argc, char** argv) {
     const double serial_s = run_serial_single_edge(base, recs);
     std::printf("%-24s %12.3fs %14.0f updates/s\n", "serial single-edge",
                 serial_s, ups(recs.size(), serial_s));
-    report.record("rmat_fold", {{"mode", mode.label}}, 1,
-                  "serial_single_edge", serial_s, ups(recs.size(), serial_s));
+    const std::string label = mode.label;
+    report.record("rmat_fold", {{"mode", label}}, 1,
+                  "serial_single_edge:" + label, serial_s,
+                  ups(recs.size(), serial_s));
 
     double top_batched_s = 0;
     for (const std::size_t bs : batch_sizes) {
@@ -154,9 +159,11 @@ int main(int argc, char** argv) {
         std::printf("batch=%-8zu threads=%d %9.3fs %14.0f updates/s\n", bs, t,
                     s, ups(recs.size(), s));
         report.record("rmat_fold",
-                      {{"mode", mode.label},
-                       {"batch_size", std::to_string(bs)}},
-                      t, "batched", s, ups(recs.size(), s));
+                      {{"mode", label}, {"batch_size", std::to_string(bs)}},
+                      t,
+                      "batched:" + label + ":b" + std::to_string(bs) + ":t" +
+                          std::to_string(t),
+                      s, ups(recs.size(), s));
         if (bs == batch_sizes.back() && t == top_threads) top_batched_s = s;
       }
     }
@@ -167,10 +174,10 @@ int main(int argc, char** argv) {
     std::printf("speedup (batch=%zu, %d threads vs serial): %.2fx\n",
                 batch_sizes.back(), top_threads, speedup);
     report.record("rmat_fold",
-                  {{"mode", mode.label},
+                  {{"mode", label},
                    {"batch_size", std::to_string(batch_sizes.back())},
                    {"speedup", std::to_string(speedup)}},
-                  top_threads, "speedup", top_batched_s,
+                  top_threads, "speedup:" + label, top_batched_s,
                   ups(recs.size(), top_batched_s));
   }
 

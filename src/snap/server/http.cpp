@@ -269,9 +269,15 @@ void HttpServer::stop() {
     if (workers_.empty()) return;
   }
   // Unblock every worker's accept(); the fd itself is closed only after the
-  // join so no worker can race a recycled descriptor.  Joining under
+  // join so no worker can race a recycled descriptor.  Then end the reads of
+  // open connections: SHUT_RD wakes a worker parked on an idle keep-alive
+  // client, and a response being sent still goes out.  Joining under
   // lifecycle_mu_ cannot deadlock: workers never take the lifecycle lock.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  {
+    sync::MutexLock conns(conns_mu_);
+    for (const int fd : conns_) ::shutdown(fd, SHUT_RD);
+  }
   for (auto& w : workers_) w.join();
   workers_.clear();
   if (listen_fd_ >= 0) {
@@ -293,7 +299,15 @@ void HttpServer::worker_loop(int listen_fd) {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    serve_connection(fd);
+    {
+      sync::MutexLock lk(conns_mu_);
+      conns_.insert(fd);
+    }
+    serve_connection(fd);  // re-checks running() before its first read
+    {
+      sync::MutexLock lk(conns_mu_);
+      conns_.erase(fd);
+    }
     ::close(fd);
   }
 }

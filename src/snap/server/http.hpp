@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,7 +54,9 @@ class HttpHandler {
 ///
 /// Lifecycle: construct → start() → (serve) → stop().  stop() is
 /// idempotent and also runs from the destructor; it closes the listening
-/// socket, nudges the workers out of accept(), and joins them.
+/// socket, nudges the workers out of accept(), shuts the read side of every
+/// open connection (so a worker waiting on an idle keep-alive client wakes
+/// at once, while a response in flight still goes out), and joins them.
 class HttpServer {
  public:
   explicit HttpServer(HttpHandler* handler, int threads = 4);
@@ -106,6 +109,12 @@ class HttpServer {
   std::vector<std::thread> workers_ GUARDED_BY(lifecycle_mu_);
   int port_ = 0;
   std::atomic<bool> running_{false};
+  // Connections being served.  A worker registers its fd before it first
+  // checks running_ and removes it before close(), so stop() — which clears
+  // running_ first — either shuts the fd down or the worker never reads it,
+  // and never touches a closed (possibly reused) descriptor.
+  sync::Mutex conns_mu_;  // guards: conns_
+  std::unordered_set<int> conns_ GUARDED_BY(conns_mu_);
   std::atomic<std::uint64_t> served_{0};
 };
 

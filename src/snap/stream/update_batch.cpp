@@ -38,37 +38,64 @@ CanonicalBatch UpdateBatch::canonicalize(bool directed) const {
       [&](std::size_t i) { return std::max(records_[i].u, records_[i].v); },
       vid_t{-1});
 
-  // Arc expansion.  Undirected updates emit both directions; an undirected
-  // self loop emits the same arc twice, which the dedupe below folds (both
-  // copies share (owner, nbr, seq, kind), so the fold is order-free).
-  const std::size_t stride = directed ? 1 : 2;
-  std::vector<ArcUpdate> arcs(nr * stride);
-  parallel::parallel_for(nr, [&](std::size_t i) {
+  // One sample sort whose scatter pass is the arc expansion: record i emits
+  // u->v, plus v->u when undirected and u != v (a self loop is one arc), all
+  // carrying seq = i.  Splitters compare (owner, nbr) only, so every record
+  // of one arc lands in one bucket; one bucket (one thread, or a small
+  // batch) runs on one thread.
+  const auto emit = [&](std::size_t i, auto&& put) {
     const UpdateRecord& r = records_[i];
     const auto seq = static_cast<eid_t>(i);
-    arcs[i * stride] = {r.u, r.v, seq, r.kind};
-    if (!directed) arcs[i * stride + 1] = {r.v, r.u, seq, r.kind};
-  });
+    put(ArcUpdate{r.u, r.v, seq, r.kind});
+    if (!directed && r.u != r.v) put(ArcUpdate{r.v, r.u, seq, r.kind});
+  };
+  const auto same_arc_less = [](const ArcUpdate& a, const ArcUpdate& b) {
+    return std::tie(a.owner, a.nbr) < std::tie(b.owner, b.nbr);
+  };
+  const int nt = parallel::num_threads();
+  const std::size_t nb =
+      parallel::sample_sort_buckets(nr * (directed ? 1 : 2), nt);
+  parallel::Buckets<ArcUpdate> buckets = parallel::bucket_scatter<ArcUpdate>(
+      nr, nb > 1 ? nt : 1, nb, emit, same_arc_less);
+  std::vector<ArcUpdate>& arcs = buckets.items;
+  const std::vector<std::size_t>& begin = buckets.begin;
 
-  // Total-order sort: (owner, nbr, seq[, kind]).  Records comparing equal are
-  // only the self-loop twins, which are fully identical, so the sorted
-  // sequence is unique and thread-count-invariant.
-  parallel::parallel_sort(
-      arcs.begin(), arcs.end(), [](const ArcUpdate& a, const ArcUpdate& b) {
-        return std::tie(a.owner, a.nbr, a.seq, a.kind) <
-               std::tie(b.owner, b.nbr, b.seq, b.kind);
-      });
-
-  // Last-writer-wins dedupe: keep the final (highest-seq) record of every
-  // (owner, nbr) run.
-  const std::size_t na = arcs.size();
-  out.arcs = parallel::parallel_pack<ArcUpdate>(
-      na,
-      [&](std::size_t i) {
-        return i + 1 == na || arcs[i + 1].owner != arcs[i].owner ||
-               arcs[i + 1].nbr != arcs[i].nbr;
+  // Per bucket: sort by (owner, nbr, seq) — no two arcs share that key, so
+  // the order is unique at every thread count — then keep the last
+  // (highest-seq) arc of every (owner, nbr) run, packed at the bucket's front.
+  const std::size_t nbk = begin.size() - 1;
+  std::vector<std::size_t> kept(nbk);
+  parallel::parallel_for_dynamic(
+      nbk,
+      [&](std::size_t b) {
+        const auto lo = arcs.begin() + static_cast<std::ptrdiff_t>(begin[b]);
+        const auto hi =
+            arcs.begin() + static_cast<std::ptrdiff_t>(begin[b + 1]);
+        std::sort(lo, hi, [](const ArcUpdate& x, const ArcUpdate& y) {
+          return std::tie(x.owner, x.nbr, x.seq) <
+                 std::tie(y.owner, y.nbr, y.seq);
+        });
+        auto keep = lo;
+        for (auto it = lo; it != hi; ++it)
+          if (it + 1 == hi || it[1].owner != it->owner || it[1].nbr != it->nbr)
+            *keep++ = *it;
+        kept[b] = static_cast<std::size_t>(keep - lo);
       },
-      [&](std::size_t i) { return arcs[i]; });
+      /*chunk=*/1);
+
+  // Close up the kept slices left to right (a slice never moves right, and
+  // one already in place is skipped: std::move must not target its source).
+  std::size_t size = 0;
+  for (std::size_t b = 0; b < nbk; ++b) {
+    if (size != begin[b]) {
+      const auto from = arcs.begin() + static_cast<std::ptrdiff_t>(begin[b]);
+      std::move(from, from + static_cast<std::ptrdiff_t>(kept[b]),
+                arcs.begin() + static_cast<std::ptrdiff_t>(size));
+    }
+    size += kept[b];
+  }
+  arcs.resize(size);
+  out.arcs = std::move(arcs);
   return out;
 }
 

@@ -60,10 +60,12 @@ class UpdateBatch {
     return records_;
   }
 
-  /// Parallel canonicalization: undirected arc expansion, sample sort by
-  /// (owner, nbr, seq), last-writer-wins dedupe via parallel::parallel_pack.
-  /// Every step is a pure function of the record sequence, so the result is
-  /// identical at every thread count.
+  /// Parallel canonicalization as one sample sort: the scatter pass
+  /// (parallel::bucket_scatter) expands records into arcs straight into the
+  /// one output array, bucketed on (owner, nbr); each bucket is sorted by
+  /// (owner, nbr, seq) and keeps the last writer of every arc in place, and
+  /// the kept slices are closed up.  The result is a pure function of the
+  /// record sequence, so it is identical at every thread count.
   [[nodiscard]] CanonicalBatch canonicalize(bool directed) const;
 
  private:

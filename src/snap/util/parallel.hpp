@@ -269,6 +269,102 @@ namespace detail {
 inline constexpr std::size_t kParallelSortCutoff = 1 << 14;
 }  // namespace detail
 
+/// Bucket count of a sample sort over (about) n elements on nt threads: one
+/// bucket on one thread or below detail::kParallelSortCutoff; otherwise a
+/// few per thread, so the per-bucket sorts load-balance even when the key
+/// distribution is skewed, capped so every bucket still has a few thousand
+/// expected elements.
+inline std::size_t sample_sort_buckets(std::size_t n, int nt) {
+  if (nt <= 1 || n < detail::kParallelSortCutoff) return 1;
+  return std::max<std::size_t>(
+      2, std::min(static_cast<std::size_t>(nt) * 4,
+                  n / (detail::kParallelSortCutoff / 4)));
+}
+
+/// Elements grouped by bucket: bucket b is items[begin[b], begin[b + 1]).
+template <typename T>
+struct Buckets {
+  std::vector<T> items;
+  std::vector<std::size_t> begin;
+};
+
+/// The scatter half of the sample sort, shared by parallel_sort and batch
+/// canonicalization.  Input i of [0, n) produces the elements it hands to
+/// `put` in `emit(i, put)` — one each for a sort, more for an expansion.
+/// Deterministic oversample (the elements of evenly spaced inputs, no RNG)
+/// -> up to nb - 1 splitters -> per-thread bucket histograms over
+/// contiguous input blocks -> one serial scan of the nt x nb histogram
+/// matrix -> scatter into bucket slices of one output array, which is the
+/// only O(n) allocation.  An element's bucket is the number of splitters
+/// not ordered after it by `comp`, so elements comparing equal share a
+/// bucket; with nb = 1 everything lands in bucket 0.
+///
+/// `emit` runs for each sampled input, then twice for every input (count,
+/// then scatter) on nt threads, and must be safe to call concurrently for
+/// distinct i.  Only the scatter pass takes ownership of what `put`
+/// receives, so an emit may hand it `std::move` of an input element.
+template <typename T, typename Emit, typename Compare>
+Buckets<T> bucket_scatter(std::size_t n, int nt, std::size_t nb, Emit&& emit,
+                          Compare comp) {
+  std::vector<T> splitters;
+  if (nb > 1) {
+    const std::size_t s = std::min(n, nb * 32);
+    std::vector<T> sample;
+    sample.reserve(s);
+    for (std::size_t k = 0; k < s; ++k)
+      emit(k * n / s, [&](const T& x) { sample.push_back(x); });
+    std::sort(sample.begin(), sample.end(), comp);
+    for (std::size_t j = 1; j < nb && !sample.empty(); ++j)
+      splitters.push_back(sample[j * sample.size() / nb]);
+  }
+  const std::size_t buckets = splitters.size() + 1;
+  const auto bucket_of = [&](const T& x) {
+    return static_cast<std::size_t>(
+        std::upper_bound(splitters.begin(), splitters.end(), x, comp) -
+        splitters.begin());
+  };
+  const auto block = [&](int t) {
+    return n * static_cast<std::size_t>(t) / static_cast<std::size_t>(nt);
+  };
+
+  // Pass 1: per-thread bucket histograms over contiguous input blocks.
+  std::vector<std::size_t> slot(static_cast<std::size_t>(nt) * buckets, 0);
+  run_team(nt, [&](int t) {
+    std::size_t* c = slot.data() + static_cast<std::size_t>(t) * buckets;
+    const std::size_t hi = block(t + 1);
+    for (std::size_t i = block(t); i < hi; ++i)
+      emit(i, [&](const T& x) { ++c[bucket_of(x)]; });
+  });
+
+  // Scan the matrix bucket-major, in place: slot[t][b] becomes where thread
+  // t's slice of bucket b starts.
+  Buckets<T> out;
+  out.begin.resize(buckets + 1);
+  std::size_t run = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    out.begin[b] = run;
+    for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t) {
+      const std::size_t count = slot[t * buckets + b];
+      slot[t * buckets + b] = run;
+      run += count;
+    }
+  }
+  out.begin[buckets] = run;
+
+  // Pass 2: scatter into bucket slices (threads own disjoint slices).
+  out.items.resize(run);
+  run_team(nt, [&](int t) {
+    std::size_t* pos = slot.data() + static_cast<std::size_t>(t) * buckets;
+    const std::size_t hi = block(t + 1);
+    for (std::size_t i = block(t); i < hi; ++i)
+      emit(i, [&](auto&& x) {
+        const std::size_t b = bucket_of(x);
+        out.items[pos[b]++] = std::forward<decltype(x)>(x);
+      });
+  });
+  return out;
+}
+
 /// Parallel sample sort.  Falls back to std::sort for small inputs or one
 /// thread.  Not stable: like std::sort, elements comparing equal end up in
 /// unspecified relative order — callers needing a reproducible layout (the
@@ -277,99 +373,31 @@ inline constexpr std::size_t kParallelSortCutoff = 1 << 14;
 /// therefore identical at every thread count.
 ///
 /// Pipeline (§3-style prefix-sum orchestration, same shape as the CSR build):
-/// deterministic oversample -> splitters -> per-thread bucket histograms ->
-/// serial scan over the nt x nb histogram matrix -> scatter into bucket
-/// slices -> independent per-bucket std::sort with dynamic scheduling (a few
-/// buckets per thread absorb power-law key skew).
+/// bucket_scatter into a scratch array, then an independent per-bucket
+/// std::sort with dynamic scheduling (a few buckets per thread absorb
+/// power-law key skew) that moves each bucket back in place.
 template <typename RandomIt, typename Compare>
 void parallel_sort(RandomIt first, RandomIt last, Compare comp) {
   using T = typename std::iterator_traits<RandomIt>::value_type;
   const std::size_t n = static_cast<std::size_t>(last - first);
   const int nt = num_threads();
-  if (nt <= 1 || n < detail::kParallelSortCutoff) {
+  const std::size_t nb = sample_sort_buckets(n, nt);
+  if (nb == 1) {
     std::sort(first, last, comp);
     return;
   }
-  // A few buckets per thread so the final per-bucket sorts load-balance even
-  // when the key distribution is skewed; capped so every bucket still has
-  // a few thousand expected elements.
-  const int nb = std::max(
-      2, std::min(nt * 4, static_cast<int>(n / (detail::kParallelSortCutoff /
-                                                4))));
-  // Deterministic oversample: evenly spaced elements (no RNG, so the
-  // splitters — and with a total-order comparator the full output — are a
-  // pure function of the input).
-  const std::size_t oversample = 32;
-  const std::size_t s = static_cast<std::size_t>(nb) * oversample;
-  std::vector<T> sample(s);
-  for (std::size_t i = 0; i < s; ++i) sample[i] = first[i * n / s];
-  std::sort(sample.begin(), sample.end(), comp);
-  std::vector<T> splitters(static_cast<std::size_t>(nb) - 1);
-  for (int j = 1; j < nb; ++j)
-    splitters[static_cast<std::size_t>(j) - 1] =
-        sample[static_cast<std::size_t>(j) * s / static_cast<std::size_t>(nb)];
-
-  auto bucket_of = [&](const T& x) {
-    return static_cast<std::size_t>(
-        std::upper_bound(splitters.begin(), splitters.end(), x, comp) -
-        splitters.begin());
-  };
-
-  // Pass 1: per-thread bucket histograms over contiguous input blocks.
-  std::vector<std::size_t> counts(static_cast<std::size_t>(nt) *
-                                      static_cast<std::size_t>(nb),
-                                  0);
-  run_team(nt, [&](int t) {
-    const std::size_t lo = n * static_cast<std::size_t>(t) /
-                           static_cast<std::size_t>(nt);
-    const std::size_t hi = n * (static_cast<std::size_t>(t) + 1) /
-                           static_cast<std::size_t>(nt);
-    std::size_t* c =
-        counts.data() + static_cast<std::size_t>(t) * static_cast<std::size_t>(nb);
-    for (std::size_t i = lo; i < hi; ++i) ++c[bucket_of(first[i])];
-  });
-
-  // Scan the histogram matrix bucket-major: write_pos[t][b] is where thread
-  // t's slice of bucket b starts; bucket_begin[b] bounds each bucket.
-  std::vector<std::size_t> write_pos(counts.size());
-  std::vector<std::size_t> bucket_begin(static_cast<std::size_t>(nb) + 1);
-  std::size_t run = 0;
-  for (int b = 0; b < nb; ++b) {
-    bucket_begin[static_cast<std::size_t>(b)] = run;
-    for (int t = 0; t < nt; ++t) {
-      const std::size_t idx = static_cast<std::size_t>(t) *
-                                  static_cast<std::size_t>(nb) +
-                              static_cast<std::size_t>(b);
-      write_pos[idx] = run;
-      run += counts[idx];
-    }
-  }
-  bucket_begin[static_cast<std::size_t>(nb)] = run;
-
-  // Pass 2: scatter into bucket slices (threads own disjoint output ranges).
-  std::vector<T> tmp(n);
-  run_team(nt, [&](int t) {
-    const std::size_t lo = n * static_cast<std::size_t>(t) /
-                           static_cast<std::size_t>(nt);
-    const std::size_t hi = n * (static_cast<std::size_t>(t) + 1) /
-                           static_cast<std::size_t>(nt);
-    std::size_t* pos = write_pos.data() +
-                       static_cast<std::size_t>(t) * static_cast<std::size_t>(nb);
-    for (std::size_t i = lo; i < hi; ++i)
-      tmp[pos[bucket_of(first[i])]++] = std::move(first[i]);
-  });
-
-  // Pass 3: sort each bucket independently and copy back in place.
+  Buckets<T> tmp = bucket_scatter<T>(
+      n, nt, nb,
+      [&](std::size_t i, auto&& put) { put(std::move(first[i])); }, comp);
   parallel_for_dynamic(
-      nb,
-      [&](int b) {
-        const std::size_t lo = bucket_begin[static_cast<std::size_t>(b)];
-        const std::size_t hi = bucket_begin[static_cast<std::size_t>(b) + 1];
-        std::sort(tmp.begin() + static_cast<std::ptrdiff_t>(lo),
-                  tmp.begin() + static_cast<std::ptrdiff_t>(hi), comp);
-        std::move(tmp.begin() + static_cast<std::ptrdiff_t>(lo),
-                  tmp.begin() + static_cast<std::ptrdiff_t>(hi),
-                  first + static_cast<std::ptrdiff_t>(lo));
+      tmp.begin.size() - 1,
+      [&](std::size_t b) {
+        const auto lo = tmp.items.begin() +
+                        static_cast<std::ptrdiff_t>(tmp.begin[b]);
+        const auto hi = tmp.items.begin() +
+                        static_cast<std::ptrdiff_t>(tmp.begin[b + 1]);
+        std::sort(lo, hi, comp);
+        std::move(lo, hi, first + static_cast<std::ptrdiff_t>(tmp.begin[b]));
       },
       /*chunk=*/1);
 }

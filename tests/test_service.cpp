@@ -509,6 +509,20 @@ TEST_F(ServiceTest, ConcurrentIngestAndQuery) {
   EXPECT_EQ(service_->streaming().epoch(), 51u);
 }
 
+TEST_F(ServiceTest, StopDoesNotWaitForAnIdleKeepAliveClient) {
+  // After one request the client stays connected and silent, so its worker
+  // waits in recv() on the open connection.
+  HttpClient idle;
+  std::string err;
+  ASSERT_TRUE(idle.connect("127.0.0.1", port_, &err)) << err;
+  ASSERT_EQ(idle.request("GET", "/stats").status, 200);
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->stop();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 5.0);
+}
+
 TEST_F(ServiceTest, ShutdownEndpointWakesTheWaiter) {
   std::atomic<bool> woke{false};
   std::thread waiter([this, &woke] {

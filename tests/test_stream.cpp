@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -123,6 +125,95 @@ TEST(UpdateBatch, CanonicalizeIsThreadCountInvariant) {
       EXPECT_EQ(cb.arcs[i].nbr, ref.arcs[i].nbr);
       EXPECT_EQ(cb.arcs[i].seq, ref.arcs[i].seq);
       EXPECT_EQ(cb.arcs[i].kind, ref.arcs[i].kind);
+    }
+  }
+}
+
+/// Batch shapes for the oracle test; `kind` picks how record i is drawn.
+UpdateBatch oracle_batch(int kind, std::size_t size, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  const auto pick = [&](std::uint64_t bound) {
+    return static_cast<vid_t>(rng.next_bounded(bound));
+  };
+  UpdateBatch b;
+  for (std::size_t i = 0; i < size; ++i) {
+    vid_t u = 0;
+    vid_t v = 0;
+    bool erase = rng.next_bounded(3) == 0;
+    switch (kind) {
+      case 0:  // heavy duplicates over 5 ids
+        u = pick(5);
+        v = pick(5);
+        break;
+      case 1:  // sparse ids over 2^20
+        u = pick(1 << 20);
+        v = pick(1 << 20);
+        break;
+      case 2:  // one hub owner holds half the arcs
+        u = i % 2 == 0 ? 7 : pick(4096);
+        v = pick(4096);
+        break;
+      case 3:  // a self loop every 17th record
+        u = pick(2000);
+        v = i % 17 == 0 ? u : pick(2000);
+        break;
+      default:  // one edge toggled 10,000 times, in both orientations
+        if (i < 10000) {
+          u = i % 4 < 2 ? 3 : 9;
+          v = u == 3 ? 9 : 3;
+          erase = i % 2 == 1;
+        } else {
+          u = pick(1000);
+          v = pick(1000);
+        }
+        break;
+    }
+    if (erase)
+      b.erase(u, v, i);
+    else
+      b.insert(u, v, i);
+  }
+  return b;
+}
+
+TEST(UpdateBatch, CanonicalizeMatchesSerialOracle) {
+  constexpr std::size_t kCutoff = std::size_t{1} << 14;
+  for (int kind = 0; kind < 5; ++kind) {
+    for (const std::size_t size :
+         {std::size_t{0}, std::size_t{1}, kCutoff - 1, kCutoff, kCutoff + 1,
+          std::size_t{100000}}) {
+      const UpdateBatch b = oracle_batch(kind, size, 11 + kind);
+      for (const bool directed : {true, false}) {
+        // Serial oracle: apply the records in order to a map keyed by arc;
+        // later records overwrite earlier ones.
+        std::map<std::pair<vid_t, vid_t>, std::pair<eid_t, UpdateKind>> last;
+        vid_t max_vid = -1;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+          const auto& r = b.records()[i];
+          const std::pair<eid_t, UpdateKind> w{static_cast<eid_t>(i), r.kind};
+          last[{r.u, r.v}] = w;
+          if (!directed) last[{r.v, r.u}] = w;
+          max_vid = std::max({max_vid, r.u, r.v});
+        }
+        for (const int t : {1, 2, 3, 4, 8}) {
+          parallel::ThreadScope scope(t);
+          const auto cb = b.canonicalize(directed);
+          SCOPED_TRACE(::testing::Message()
+                       << "shape " << kind << " size " << size << " directed "
+                       << directed << " threads " << t);
+          EXPECT_EQ(cb.max_vid, max_vid);
+          EXPECT_EQ(cb.raw_records, size);
+          ASSERT_EQ(cb.arcs.size(), last.size());
+          std::size_t i = 0;
+          for (const auto& [arc, w] : last) {
+            const stream::ArcUpdate& a = cb.arcs[i++];
+            ASSERT_EQ(a.owner, arc.first) << "arc " << i - 1;
+            ASSERT_EQ(a.nbr, arc.second) << "arc " << i - 1;
+            ASSERT_EQ(a.seq, w.first) << "arc " << i - 1;
+            ASSERT_EQ(a.kind, w.second) << "arc " << i - 1;
+          }
+        }
+      }
     }
   }
 }
