@@ -409,6 +409,7 @@ inline void fine_grained_accumulate(const CSRGraph& g,
   std::size_t depth = 0;                   // levels used by the last source
   FrontierPool pool;                       // per-level expansion scratch
   std::vector<vid_t> next;                 // reused level output
+  const int nt = parallel::num_threads();
   for (vid_t s = 0; s < n; ++s) {
     // Touched-only reinit: the previous source's level lists are exactly its
     // visited set (the seed re-zeroed all n slots per source).
@@ -435,7 +436,7 @@ inline void fine_grained_accumulate(const CSRGraph& g,
     while (!levels[depth - 1].empty()) {
       const auto& cur = levels[depth - 1];
       const auto d = static_cast<std::int64_t>(depth) - 1;
-      expand_arc_balanced(g, cur, next, pool, [&](vid_t u, vid_t v) {
+      expand_arc_balanced(g, cur, next, pool, nt, [&](vid_t u, vid_t v) {
         const double su =
             sigma[static_cast<std::size_t>(u)].load(std::memory_order_relaxed);
         std::int64_t expected = -1;

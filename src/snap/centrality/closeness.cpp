@@ -41,13 +41,13 @@ std::vector<double> closeness_centrality(const CSRGraph& g) {
   if (!g.weighted()) {
     // Each thread owns one BfsEngine, so frontier buffers, bitmaps and the
     // result vectors are allocated once per thread, not once per source, and
-    // each sweep runs the serial direction-optimizing traversal.
+    // each sweep runs the direction-optimizing traversal at team width 1.
     std::atomic<vid_t> cursor{0};
     parallel::run_team(parallel::num_threads(), [&](int) {
       BfsEngine engine;
       BFSResult b;
       for (vid_t v; (v = cursor.fetch_add(1, std::memory_order_relaxed)) < n;) {
-        engine.run_serial_into(g, v, {}, b);
+        engine.run_into(g, v, 1, {}, b);
         const double sum = bfs_dist_sum(b);
         cc[static_cast<std::size_t>(v)] = sum > 0 ? 1.0 / sum : 0.0;
       }
@@ -85,7 +85,7 @@ std::vector<double> closeness_centrality_sampled(const CSRGraph& g,
     BFSResult b;
     for (vid_t i;
          (i = cursor.fetch_add(1, std::memory_order_relaxed)) < num_samples;) {
-      engine.run_serial_into(g, sources[static_cast<std::size_t>(i)], {}, b);
+      engine.run_into(g, sources[static_cast<std::size_t>(i)], 1, {}, b);
       for (vid_t v = 0; v < n; ++v) {
         const std::int64_t d = b.dist[static_cast<std::size_t>(v)];
         // reduction: per-vertex distance sum over sampled sources; addition

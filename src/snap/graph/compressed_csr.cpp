@@ -1,6 +1,5 @@
 #include "snap/graph/compressed_csr.hpp"
 
-#include <atomic>
 #include <cstddef>
 
 #include "snap/util/parallel.hpp"
@@ -47,95 +46,6 @@ CompressedCSR CompressedCSR::from_graph(const CSRGraph& g) {
                 " disagrees with pass-1 length");
   });
   return c;
-}
-
-BFSResult bfs_compressed(const CompressedCSR& g, vid_t source) {
-  const vid_t n = g.num_vertices();
-  SNAP_ASSERT(source >= 0 && source < n, "bfs_compressed: source ", source,
-              " out of [0, ", n, ")");
-  BFSResult r;
-  r.parent.assign(static_cast<std::size_t>(n), kInvalidVid);
-  r.dist.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::atomic<std::int64_t>> dist(static_cast<std::size_t>(n));
-  parallel::parallel_for(n, [&](vid_t v) {
-    dist[static_cast<std::size_t>(v)].store(-1, std::memory_order_relaxed);
-  });
-  dist[static_cast<std::size_t>(source)].store(0, std::memory_order_relaxed);
-  r.parent[static_cast<std::size_t>(source)] = source;
-
-  std::vector<vid_t> frontier{source};
-  std::int64_t level = 0;
-  vid_t visited = 1;
-  const int nt = parallel::num_threads();
-
-  while (!frontier.empty()) {
-    std::vector<std::vector<vid_t>> next(static_cast<std::size_t>(nt));
-    // Dense levels flip to bottom-up pull: every unvisited vertex scans its
-    // (compressed) neighbor list for a previous-level vertex — the
-    // bandwidth-bound sweep the varint encoding shrinks.
-    const bool pull = frontier.size() > static_cast<std::size_t>(n / 16);
-    if (pull) {
-      parallel::run_team(nt, [&](int t) {
-        const vid_t lo = n * t / nt;
-        const vid_t hi = n * (t + 1) / nt;
-        auto& out = next[static_cast<std::size_t>(t)];
-        for (vid_t v = lo; v < hi; ++v) {
-          if (dist[static_cast<std::size_t>(v)].load(
-                  std::memory_order_relaxed) != -1)
-            continue;
-          g.for_each_neighbor_while(v, [&](vid_t w) {
-            if (dist[static_cast<std::size_t>(w)].load(
-                    std::memory_order_relaxed) == level) {
-              dist[static_cast<std::size_t>(v)].store(
-                  level + 1, std::memory_order_relaxed);
-              r.parent[static_cast<std::size_t>(v)] = w;
-              out.push_back(v);
-              return false;
-            }
-            return true;
-          });
-        }
-      });
-    } else {
-      const std::size_t fsz = frontier.size();
-      parallel::run_team(nt, [&](int t) {
-        const std::size_t lo = fsz * static_cast<std::size_t>(t) /
-                               static_cast<std::size_t>(nt);
-        const std::size_t hi = fsz * (static_cast<std::size_t>(t) + 1) /
-                               static_cast<std::size_t>(nt);
-        auto& out = next[static_cast<std::size_t>(t)];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const vid_t u = frontier[i];
-          g.for_each_neighbor(u, [&](vid_t w) {
-            std::int64_t expected = -1;
-            if (dist[static_cast<std::size_t>(w)].compare_exchange_strong(
-                    expected, level + 1, std::memory_order_relaxed)) {
-              r.parent[static_cast<std::size_t>(w)] = u;
-              out.push_back(w);
-            }
-          });
-        }
-      });
-    }
-    // Concatenate per-thread discoveries in thread order (threads own
-    // ascending contiguous ranges, so the frontier is sorted-by-block and
-    // identical at every thread count for the pull path; push-path claim
-    // winners differ but distances do not).
-    frontier.clear();
-    for (auto& b : next)
-      frontier.insert(frontier.end(), b.begin(), b.end());
-    if (frontier.empty()) break;
-    ++level;
-    visited += static_cast<vid_t>(frontier.size());
-  }
-
-  parallel::parallel_for(n, [&](vid_t v) {
-    r.dist[static_cast<std::size_t>(v)] =
-        dist[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-  });
-  r.num_visited = visited;
-  r.num_levels = level;
-  return r;
 }
 
 }  // namespace snap

@@ -12,22 +12,24 @@
 // bytes.  Decoding is branch-light shift/or work that pipelines under the
 // memory latency the uncompressed scan would spend stalled.
 //
+// CompressedCSR is an AdjacencyView (snap/graph/adjacency.hpp) without
+// contiguous rows: kernels reach it through the same templates that run on
+// CSRGraph — the direction-optimizing BFS (`bfs_compressed`) and PageRank
+// (`pagerank_compressed`) are instantiations, not separate engines.
+//
 // The encoding is a pure function of the graph: a two-pass parallel encode
 // (exact per-vertex byte lengths, prefix sum, scatter into disjoint slices)
 // produces byte-identical buffers at every thread count, which is what the
-// determinism harness checks.  Decoding is exact — the block iterator
-// replays the original adjacency span value for value (the differential
-// test compares both, generator by generator).
+// determinism harness checks.  Decoding is exact — the visitor replays the
+// original adjacency row value for value (the differential test compares
+// both, generator by generator).
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "snap/debug/check.hpp"
 #include "snap/graph/csr_graph.hpp"
-#include "snap/kernels/bfs.hpp"
 
 namespace snap {
 
@@ -80,7 +82,7 @@ inline std::uint64_t varint_read(const std::uint8_t*& p) {
 /// Compressed read-only adjacency (no weights, no edge ids): the
 /// representation the bandwidth-bound pull kernels stream.  Build one from
 /// a CSRGraph pre-pass; vertex ids and iteration order are identical to the
-/// source graph's (`neighbors(v)` decoded == `g.neighbors(v)` verbatim).
+/// source graph's (the visitor replays `g.neighbors(v)` verbatim).
 class CompressedCSR {
  public:
   CompressedCSR() = default;
@@ -106,19 +108,8 @@ class CompressedCSR {
     return static_cast<eid_t>(detail::varint_read(p));
   }
 
-  /// Visit every neighbor of v in stored (ascending) order.
-  template <typename F>
-  void for_each_neighbor(vid_t v, F&& f) const {
-    const std::uint8_t* p = block(v);
-    const std::uint64_t deg = detail::varint_read(p);
-    std::int64_t prev = v;
-    for (std::uint64_t i = 0; i < deg; ++i) {
-      prev += detail::zigzag_decode(detail::varint_read(p));
-      f(static_cast<vid_t>(prev));
-    }
-  }
-
-  /// Visit neighbors while `f` returns true (early-exit pull scans).
+  /// Visit v's neighbors in stored (ascending) order while `f` returns true
+  /// — the AdjacencyView visitor (snap/graph/adjacency.hpp).
   template <typename F>
   void for_each_neighbor_while(vid_t v, F&& f) const {
     const std::uint8_t* p = block(v);
@@ -128,48 +119,6 @@ class CompressedCSR {
       prev += detail::zigzag_decode(detail::varint_read(p));
       if (!f(static_cast<vid_t>(prev))) return;
     }
-  }
-
-  /// Decode all of v's neighbors into `out` (resized to the degree).
-  void decode_neighbors(vid_t v, std::vector<vid_t>& out) const {
-    out.clear();
-    for_each_neighbor(v, [&](vid_t w) { out.push_back(w); });
-  }
-
-  /// Block-decoding cursor over one vertex's neighbor list: `next()` fills
-  /// an internal buffer with up to kBlock decoded neighbors and returns the
-  /// filled span (empty at end).  This is the CSRGraph-compatible read
-  /// path for kernels written against `std::span<const vid_t>` slices —
-  /// they consume one block at a time instead of one `neighbors(v)` span.
-  class NeighborCursor {
-   public:
-    static constexpr std::size_t kBlock = 64;
-
-    NeighborCursor(const CompressedCSR& g, vid_t v) : p_(g.block(v)) {
-      remaining_ = detail::varint_read(p_);
-      prev_ = v;
-    }
-
-    /// Decode the next block; empty span = exhausted.
-    std::span<const vid_t> next() {
-      const std::size_t take = std::min<std::uint64_t>(remaining_, kBlock);
-      for (std::size_t i = 0; i < take; ++i) {
-        prev_ += detail::zigzag_decode(detail::varint_read(p_));
-        buf_[i] = static_cast<vid_t>(prev_);
-      }
-      remaining_ -= take;
-      return {buf_.data(), take};
-    }
-
-   private:
-    const std::uint8_t* p_;
-    std::uint64_t remaining_ = 0;
-    std::int64_t prev_ = 0;
-    std::array<vid_t, kBlock> buf_{};
-  };
-
-  [[nodiscard]] NeighborCursor neighbors(vid_t v) const {
-    return NeighborCursor(*this, v);
   }
 
  private:
@@ -185,12 +134,5 @@ class CompressedCSR {
   std::vector<std::uint64_t> offsets_;  ///< n+1 byte offsets into bytes_
   std::vector<std::uint8_t> bytes_;
 };
-
-/// Direction-optimizing BFS over the compressed representation: sparse
-/// levels run frontier push, dense levels run the bandwidth-bound bottom-up
-/// pull the compression exists for.  Distances (and visited/level counts)
-/// are identical to `bfs_serial` on the source graph; the parent array is
-/// any valid BFS tree.
-BFSResult bfs_compressed(const CompressedCSR& g, vid_t source);
 
 }  // namespace snap

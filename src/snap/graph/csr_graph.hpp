@@ -76,6 +76,14 @@ class CSRGraph {
             static_cast<std::size_t>(degree(v))};
   }
 
+  /// Visit v's out-neighbors in stored order while `f` returns true — the
+  /// AdjacencyView visitor (snap/graph/adjacency.hpp).
+  template <typename F>
+  void for_each_neighbor_while(vid_t v, F&& f) const {
+    for (const vid_t u : neighbors(v))
+      if (!f(u)) return;
+  }
+
   /// Weights aligned with neighbors(v).  All 1.0 for unweighted graphs.
   [[nodiscard]] std::span<const weight_t> weights(vid_t v) const {
     return {weights_.data() + offsets_[v],

@@ -1,5 +1,6 @@
 #include "snap/io/binary_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -84,9 +85,20 @@ void read_all(std::ifstream& in, void* data, std::size_t len,
   if (!in) fail("truncated file", path);
 }
 
+/// Bytes between the read position and the end of the file.
+std::uint64_t remaining_bytes(std::ifstream& in) {
+  const auto here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  return static_cast<std::uint64_t>(end - here);
+}
+
 CSRGraph read_binary_v1(std::ifstream& in, const HeaderV1& h,
                         const std::string& path) {
   if (h.n < 0 || h.m < 0) fail("bad header (negative n or m)", path);
+  if (static_cast<std::uint64_t>(h.m) > remaining_bytes(in) / sizeof(RawEdge))
+    fail("truncated file (header promises more edges than it holds)", path);
   EdgeList edges(static_cast<std::size_t>(h.m));
   for (auto& e : edges) {
     RawEdge r{};
@@ -107,6 +119,26 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
   const bool directed = (h.flags & kFlagDirected) != 0;
   const bool weighted = (h.flags & kFlagWeighted) != 0;
   const bool sorted = (h.flags & kFlagSorted) != 0;
+  // The payload the header implies, checked against the header's own count
+  // and the file size before anything is allocated: a 48-byte file that
+  // claims n = 2^40 is refused, not sized for.
+  using Wide = unsigned __int128;
+  const Wide wide_arcs = Wide(h.m) * (directed ? 1 : 2);
+  const Wide implied =
+      (Wide(h.n) + 1) * sizeof(eid_t) +
+      wide_arcs * (sizeof(vid_t) + sizeof(eid_t) +
+                   (weighted ? sizeof(weight_t) : 0)) +
+      Wide(h.m) * (weighted ? sizeof(RawEdge) : 2 * sizeof(std::int64_t));
+  if (implied != h.payload_bytes)
+    fail("header payload size " + std::to_string(h.payload_bytes) +
+             " disagrees with its n and m",
+         path);
+  const std::uint64_t held = remaining_bytes(in);
+  if (h.payload_bytes > held)
+    fail("truncated file (header promises " +
+             std::to_string(h.payload_bytes) + " payload bytes, file holds " +
+             std::to_string(held) + ")",
+         path);
   const auto n = static_cast<std::size_t>(h.n);
   const auto m = static_cast<std::size_t>(h.m);
   const std::size_t arcs = directed ? m : 2 * m;
@@ -118,11 +150,9 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
   EdgeList edges(m);
 
   Fnv1a sum;
-  std::uint64_t payload = 0;
   auto consume = [&](void* data, std::size_t len) {
     read_all(in, data, len, path);
     sum.update(data, len);
-    payload += len;
   };
 
   consume(offsets.data(), offsets.size() * sizeof(eid_t));
@@ -142,19 +172,28 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
     for (std::size_t e = 0; e < m; ++e)
       edges[e] = Edge{raw[2 * e], raw[2 * e + 1], 1.0};
   }
-
-  if (payload != h.payload_bytes)
-    fail("payload size mismatch (header says " +
-             std::to_string(h.payload_bytes) + " bytes, file holds " +
-             std::to_string(payload) + ")",
-         path);
   if (sum.hash() != h.checksum)
     fail("FNV-1a checksum mismatch (file corrupt)", path);
 
-  // Offsets must cover the arrays before from_parts indexes through them.
-  if (offsets.front() != 0 ||
-      offsets.back() != static_cast<eid_t>(arcs))
+  // A checksum proves integrity, not validity.  Every index from_parts and
+  // the kernels will follow is range-checked here, always, in O(n + m).
+  if (offsets.front() != 0 || offsets.back() != static_cast<eid_t>(arcs))
     fail("offsets array does not cover the adjacency", path);
+  if (!std::is_sorted(offsets.begin(), offsets.end()))
+    fail("offsets array is not non-decreasing", path);
+  const auto outside = [](std::int64_t x, std::int64_t end) {
+    return x < 0 || x >= end;
+  };
+  if (std::any_of(adj.begin(), adj.end(),
+                  [&](vid_t v) { return outside(v, h.n); }))
+    fail("adjacency array holds a target outside [0, n)", path);
+  if (std::any_of(arc_edge_ids.begin(), arc_edge_ids.end(),
+                  [&](eid_t e) { return outside(e, h.m); }))
+    fail("arc edge id array holds an id outside [0, m)", path);
+  if (std::any_of(edges.begin(), edges.end(), [&](const Edge& e) {
+        return outside(e.u, h.n) || outside(e.v, h.n);
+      }))
+    fail("edge array holds an endpoint outside [0, n)", path);
 
   return CSRGraph::from_parts(h.n, h.m, directed, weighted, sorted,
                               std::move(offsets), std::move(adj),

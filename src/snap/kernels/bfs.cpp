@@ -1,25 +1,32 @@
 #include "snap/kernels/bfs.hpp"
 
+#include "snap/debug/check.hpp"
+#include "snap/graph/compressed_csr.hpp"
 #include "snap/kernels/frontier.hpp"
 
 namespace snap {
 
-namespace {
+namespace bfs_detail {
 
-BFSResult make_result(vid_t n, vid_t source) {
-  BFSResult r;
+bool start(BFSResult& r, vid_t n, vid_t source) {
   r.parent.assign(static_cast<std::size_t>(n), kInvalidVid);
   r.dist.assign(static_cast<std::size_t>(n), -1);
-  r.parent[source] = source;
-  r.dist[source] = 0;
+  r.num_visited = 0;
+  r.num_levels = 0;
+  if (n == 0) return false;
+  SNAP_ASSERT(source >= 0 && source < n, "bfs: source ", source,
+              " out of [0, ", n, ")");
+  r.parent[static_cast<std::size_t>(source)] = source;
+  r.dist[static_cast<std::size_t>(source)] = 0;
   r.num_visited = 1;
-  return r;
+  return true;
 }
 
-}  // namespace
+}  // namespace bfs_detail
 
 BFSResult bfs_serial(const CSRGraph& g, vid_t source) {
-  BFSResult r = make_result(g.num_vertices(), source);
+  BFSResult r;
+  if (!bfs_detail::start(r, g.num_vertices(), source)) return r;
   std::vector<vid_t> frontier{source}, next;
   std::int64_t level = 0;
   while (!frontier.empty()) {
@@ -43,34 +50,35 @@ BFSResult bfs_serial(const CSRGraph& g, vid_t source) {
 
 BFSResult bfs_bounded(const CSRGraph& g, vid_t source,
                       std::int64_t max_depth) {
-  BfsEngine engine;
   HybridBFSOptions opts;
   opts.max_depth = max_depth;
-  return engine.run(g, source, opts);
+  return BfsEngine().run(g, source, opts);
 }
 
 BFSResult bfs(const CSRGraph& g, vid_t source) {
-  BfsEngine engine;
-  return engine.run(g, source);
+  return BfsEngine().run(g, source);
 }
 
 BFSResult bfs_push(const CSRGraph& g, vid_t source) {
-  BfsEngine engine;
   HybridBFSOptions opts;
   opts.enable_pull = false;
-  return engine.run(g, source, opts);
+  return BfsEngine().run(g, source, opts);
 }
 
 BFSResult bfs_hybrid(const CSRGraph& g, vid_t source,
                      const HybridBFSOptions& opts,
                      std::vector<BfsLevelStats>* trace) {
-  BfsEngine engine;
-  return engine.run(g, source, opts, trace);
+  return BfsEngine().run(g, source, opts, trace);
+}
+
+BFSResult bfs_compressed(const CompressedCSR& g, vid_t source) {
+  return BfsEngine().run(g, source);
 }
 
 BFSResult bfs_masked(const CSRGraph& g, vid_t source,
                      const std::vector<std::uint8_t>& edge_alive) {
-  BFSResult r = make_result(g.num_vertices(), source);
+  BFSResult r;
+  if (!bfs_detail::start(r, g.num_vertices(), source)) return r;
   std::vector<vid_t> frontier{source}, next;
   std::int64_t level = 0;
   while (!frontier.empty()) {

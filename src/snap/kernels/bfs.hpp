@@ -7,6 +7,8 @@
 
 namespace snap {
 
+class CompressedCSR;
+
 /// Result of a breadth-first traversal.
 struct BFSResult {
   std::vector<vid_t> parent;        ///< parent in the BFS tree; kInvalidVid if unreached (source's parent is itself)
@@ -41,6 +43,10 @@ struct BfsLevelStats {
   vid_t discovered = 0;         ///< vertices claimed at this level
 };
 
+// Every entry point below shares one rule: on an empty graph (n = 0) it
+// returns the empty result, otherwise `source` must lie in [0, n)
+// (SNAP_ASSERT).
+
 /// Level-synchronous parallel BFS (§3).  Now runs the direction-optimizing
 /// engine: top-down levels are arc-balanced push (frontier arcs split evenly
 /// across threads), dense middle levels of low-diameter graphs switch to a
@@ -57,6 +63,14 @@ BFSResult bfs_push(const CSRGraph& g, vid_t source);
 BFSResult bfs_hybrid(const CSRGraph& g, vid_t source,
                      const HybridBFSOptions& opts = {},
                      std::vector<BfsLevelStats>* trace = nullptr);
+
+/// bfs() over the delta/varint-compressed adjacency
+/// (snap/graph/compressed_csr.hpp): the same engine instantiated on the
+/// other layout, with the same alpha/beta rule, arc-balanced push and
+/// pull-disabled-on-directed guard.  Distances, visited and level counts
+/// equal bfs_serial's on the source graph; the parent array is any valid
+/// BFS tree.
+BFSResult bfs_compressed(const CompressedCSR& g, vid_t source);
 
 /// Reference serial BFS (used for validation and for tiny subproblems).
 BFSResult bfs_serial(const CSRGraph& g, vid_t source);
@@ -77,5 +91,14 @@ BFSResult bfs_bounded(const CSRGraph& g, vid_t source, std::int64_t max_depth);
 /// the divisive community algorithms run after marking edges deleted.
 BFSResult bfs_masked(const CSRGraph& g, vid_t source,
                      const std::vector<std::uint8_t>& edge_alive);
+
+namespace bfs_detail {
+
+/// The entry rule above, shared by every traversal: size `r` for n vertices
+/// with nothing reached and return false when n = 0; otherwise assert the
+/// source, record it as visited at depth 0, and return true.
+bool start(BFSResult& r, vid_t n, vid_t source);
+
+}  // namespace bfs_detail
 
 }  // namespace snap

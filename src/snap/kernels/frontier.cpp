@@ -3,37 +3,42 @@
 #include <atomic>
 #include <limits>
 
+#include "snap/graph/compressed_csr.hpp"
+
 namespace snap {
 
-namespace {
-
-std::int64_t depth_limit(const HybridBFSOptions& o) {
-  return o.max_depth < 0 ? std::numeric_limits<std::int64_t>::max()
-                         : o.max_depth;
-}
-
-}  // namespace
-
-BFSResult BfsEngine::run(const CSRGraph& g, vid_t source,
-                         const HybridBFSOptions& opts,
+template <AdjacencyView G>
+void BfsEngine::run_into(const G& g, vid_t source, int threads,
+                         const HybridBFSOptions& opts, BFSResult& r,
                          std::vector<BfsLevelStats>* trace) {
   if (trace) trace->clear();
-  const vid_t n = g.num_vertices();
-  BFSResult r;
-  if (n == 0) return r;
-  r.parent.assign(static_cast<std::size_t>(n), kInvalidVid);
-  r.dist.assign(static_cast<std::size_t>(n), -1);
-  r.parent[static_cast<std::size_t>(source)] = source;
-  r.dist[static_cast<std::size_t>(source)] = 0;
-  r.num_visited = 1;
+  if (!bfs_detail::start(r, g.num_vertices(), source)) return;
+  if (threads > 1)
+    levels<true>(g, source, threads, opts, r, trace);
+  else
+    levels<false>(g, source, 1, opts, r, trace);
+}
 
+template <bool kTeam, AdjacencyView G>
+void BfsEngine::levels(const G& g, vid_t source, int threads,
+                       const HybridBFSOptions& opts, BFSResult& r,
+                       std::vector<BfsLevelStats>* trace) {
+  const vid_t n = g.num_vertices();
+  auto& dist = r.dist;
+  auto& parent = r.parent;
   // Pull reads a vertex's own adjacency as its *in*-edges, which is only
   // valid when the graph is symmetric.
   const bool allow_pull = opts.enable_pull && !g.directed();
-  const std::int64_t max_depth = depth_limit(opts);
+  const std::int64_t max_depth = opts.max_depth < 0
+                                     ? std::numeric_limits<std::int64_t>::max()
+                                     : opts.max_depth;
 
-  visited_.resize(static_cast<std::size_t>(n));
-  visited_.set(static_cast<std::size_t>(source));
+  // A team claims vertices through the atomic visited bitmap; a single
+  // thread claims through the distance array and never touches it.
+  if constexpr (kTeam) {
+    visited_.resize(static_cast<std::size_t>(n));
+    visited_.set(static_cast<std::size_t>(source));
+  }
   cur_.init(n);
   next_.init(n);
   cur_.reset_to(source, g.degree(source));
@@ -49,73 +54,93 @@ BFSResult BfsEngine::run(const CSRGraph& g, vid_t source,
     if (!cur_.dense() && allow_pull && cur_.arcs() > opts.min_pull_arcs &&
         static_cast<double>(cur_.arcs()) * opts.alpha >
             static_cast<double>(unexplored)) {
-      cur_.to_dense();
+      cur_.to_dense(threads);
     } else if (cur_.dense() && cur_.size() < prev_size &&
                static_cast<double>(cur_.size()) * opts.beta <
                    static_cast<double>(n)) {
-      cur_.to_sparse(g, r.dist, level - 1, pool_);
+      cur_.to_sparse(g, dist, level - 1, pool_, threads);
     }
     const vid_t fsize = cur_.size();
     const eid_t farcs = cur_.arcs();
     const bool pull = cur_.dense();
-    vid_t discovered = 0;
 
     if (pull) {
-      next_.bits().resize(static_cast<std::size_t>(n));
-      std::atomic<vid_t> awake{0};
-      std::atomic<eid_t> arcs{0};
+      // Bottom-up: every unvisited vertex scans its own row for a parent in
+      // the frontier and stops at the first hit.  Only the caller owning
+      // [lo, hi) writes its dist/parent slots and — ranges start on 64-bit
+      // word boundaries — its bitmap words, so no write needs a locked RMW.
       const AtomicBitmap& front = cur_.bits();
       AtomicBitmap& nbits = next_.bits();
-      auto& dist = r.dist;
-      auto& parent = r.parent;
-      constexpr vid_t kPullChunk = 1024;
-      std::atomic<vid_t> cursor{0};
-      parallel::run_team(parallel::num_threads(), [&](int) {
-        vid_t local_awake = 0;
-        eid_t local_arcs = 0;
-        for (;;) {
-          const vid_t lo =
-              cursor.fetch_add(kPullChunk, std::memory_order_relaxed);
-          if (lo >= n) break;
-          const vid_t hi = std::min(n, lo + kPullChunk);
-          for (vid_t v = lo; v < hi; ++v) {
-            if (dist[static_cast<std::size_t>(v)] >= 0) continue;
-            for (vid_t u : g.neighbors(v)) {
-              if (front.test(static_cast<std::size_t>(u))) {
-                // Only the thread owning this chunk touches v, so dist/parent
-                // writes are unshared; the bitmaps are atomic.
-                dist[static_cast<std::size_t>(v)] = level;
-                parent[static_cast<std::size_t>(v)] = u;
-                visited_.set(static_cast<std::size_t>(v));
-                nbits.set(static_cast<std::size_t>(v));
-                ++local_awake;
-                local_arcs += g.degree(v);
-                break;
-              }
-            }
-          }
+      nbits.resize(static_cast<std::size_t>(n));
+      struct Woken {
+        vid_t vertices = 0;
+        eid_t arcs = 0;
+      };
+      auto pull_range = [&](vid_t lo, vid_t hi) {
+        Woken w;
+        for (vid_t v = lo; v < hi; ++v) {
+          if (dist[static_cast<std::size_t>(v)] >= 0) continue;
+          g.for_each_neighbor_while(v, [&](vid_t u) {
+            if (!front.test(static_cast<std::size_t>(u))) return true;
+            dist[static_cast<std::size_t>(v)] = level;
+            parent[static_cast<std::size_t>(v)] = u;
+            if constexpr (kTeam)
+              visited_.set_owned(static_cast<std::size_t>(v));
+            nbits.set_owned(static_cast<std::size_t>(v));
+            ++w.vertices;
+            w.arcs += g.degree(v);
+            return false;
+          });
         }
-        awake.fetch_add(local_awake, std::memory_order_relaxed);
-        arcs.fetch_add(local_arcs, std::memory_order_relaxed);
-      });
-      next_.assume_dense(awake.load(std::memory_order_relaxed),
-                         arcs.load(std::memory_order_relaxed));
-      discovered = awake.load(std::memory_order_relaxed);
+        return w;
+      };
+      Woken woken;
+      if constexpr (kTeam) {
+        // Vertices are dealt to the team in word-aligned chunks.
+        constexpr vid_t kPullChunk = 1024;
+        static_assert(kPullChunk % 64 == 0);
+        std::atomic<vid_t> cursor{0};
+        std::atomic<vid_t> awake{0};
+        std::atomic<eid_t> arcs{0};
+        parallel::run_team(threads, [&](int) {
+          Woken mine;
+          for (vid_t lo; (lo = cursor.fetch_add(
+                              kPullChunk, std::memory_order_relaxed)) < n;) {
+            const Woken w = pull_range(lo, std::min(n, lo + kPullChunk));
+            mine.vertices += w.vertices;
+            mine.arcs += w.arcs;
+          }
+          awake.fetch_add(mine.vertices, std::memory_order_relaxed);
+          arcs.fetch_add(mine.arcs, std::memory_order_relaxed);
+        });
+        woken = {awake.load(std::memory_order_relaxed),
+                 arcs.load(std::memory_order_relaxed)};
+      } else {
+        woken = pull_range(0, n);
+      }
+      next_.assume_dense(woken.vertices, woken.arcs);
     } else {
-      expand_arc_balanced(g, cur_.list(), next_.list(), pool_,
-                          [&](vid_t u, vid_t v) {
-                            if (visited_.test_and_set(
-                                    static_cast<std::size_t>(v))) {
-                              r.dist[static_cast<std::size_t>(v)] = level;
-                              r.parent[static_cast<std::size_t>(v)] = u;
-                              return true;
+      // Top-down.  The claim captures plain pointers and the level by value
+      // so the per-arc test stays in registers.
+      std::int64_t* const d = dist.data();
+      vid_t* const p = parent.data();
+      AtomicBitmap& visited = visited_;
+      expand_arc_balanced(g, cur_.list(), next_.list(), pool_, threads,
+                          [d, p, &visited, lvl = level](vid_t u, vid_t v) {
+                            const bool claimed =
+                                kTeam ? visited.test_and_set(
+                                            static_cast<std::size_t>(v))
+                                      : d[v] < 0;
+                            if (claimed) {
+                              d[v] = lvl;
+                              p[v] = u;
                             }
-                            return false;
+                            return claimed;
                           });
       next_.assume_sparse(g);
-      discovered = next_.size();
     }
 
+    const vid_t discovered = next_.size();
     if (trace) trace->push_back({level, pull, fsize, farcs, discovered});
     r.num_visited += discovered;
     if (discovered > 0) r.num_levels = level;
@@ -123,99 +148,13 @@ BFSResult BfsEngine::run(const CSRGraph& g, vid_t source,
     prev_size = fsize;
     cur_.swap(next_);
   }
-  return r;
 }
 
-void BfsEngine::run_serial_into(const CSRGraph& g, vid_t source,
-                                const HybridBFSOptions& opts, BFSResult& r) {
-  const vid_t n = g.num_vertices();
-  r.parent.assign(static_cast<std::size_t>(n), kInvalidVid);
-  r.dist.assign(static_cast<std::size_t>(n), -1);
-  r.num_visited = 0;
-  r.num_levels = 0;
-  if (n == 0) return;
-  r.parent[static_cast<std::size_t>(source)] = source;
-  r.dist[static_cast<std::size_t>(source)] = 0;
-  r.num_visited = 1;
-
-  const bool allow_pull = opts.enable_pull && !g.directed();
-  const std::int64_t max_depth = depth_limit(opts);
-
-  cur_.init(n);
-  next_.init(n);
-  cur_.reset_to(source, g.degree(source));
-  eid_t unexplored = g.num_arcs() - cur_.arcs();
-  vid_t prev_size = cur_.size();
-  std::int64_t level = 0;
-
-  while (!cur_.empty() && level < max_depth) {
-    ++level;
-    if (!cur_.dense() && allow_pull && cur_.arcs() > opts.min_pull_arcs &&
-        static_cast<double>(cur_.arcs()) * opts.alpha >
-            static_cast<double>(unexplored)) {
-      cur_.bits().resize(static_cast<std::size_t>(n));
-      for (vid_t v : cur_.list()) cur_.bits().set(static_cast<std::size_t>(v));
-      cur_.assume_dense(cur_.size(), cur_.arcs());
-    } else if (cur_.dense() && cur_.size() < prev_size &&
-               static_cast<double>(cur_.size()) * opts.beta <
-                   static_cast<double>(n)) {
-      auto& lst = cur_.list();
-      lst.clear();
-      for (vid_t v = 0; v < n; ++v)
-        if (r.dist[static_cast<std::size_t>(v)] == level - 1) lst.push_back(v);
-      cur_.assume_sparse(g);
-    }
-    const vid_t fsize = cur_.size();
-    vid_t discovered = 0;
-
-    if (cur_.dense()) {
-      next_.bits().resize(static_cast<std::size_t>(n));
-      vid_t awake = 0;
-      eid_t arcs = 0;
-      for (vid_t v = 0; v < n; ++v) {
-        if (r.dist[static_cast<std::size_t>(v)] >= 0) continue;
-        for (vid_t u : g.neighbors(v)) {
-          if (cur_.bits().test(static_cast<std::size_t>(u))) {
-            r.dist[static_cast<std::size_t>(v)] = level;
-            r.parent[static_cast<std::size_t>(v)] = u;
-            next_.bits().set(static_cast<std::size_t>(v));
-            ++awake;
-            arcs += g.degree(v);
-            break;
-          }
-        }
-      }
-      next_.assume_dense(awake, arcs);
-      discovered = awake;
-    } else {
-      auto& out = next_.list();
-      out.clear();
-      for (vid_t u : cur_.list()) {
-        for (vid_t v : g.neighbors(u)) {
-          if (r.dist[static_cast<std::size_t>(v)] < 0) {
-            r.dist[static_cast<std::size_t>(v)] = level;
-            r.parent[static_cast<std::size_t>(v)] = u;
-            out.push_back(v);
-          }
-        }
-      }
-      next_.assume_sparse(g);
-      discovered = next_.size();
-    }
-
-    r.num_visited += discovered;
-    if (discovered > 0) r.num_levels = level;
-    unexplored -= next_.arcs();
-    prev_size = fsize;
-    cur_.swap(next_);
-  }
-}
-
-BFSResult BfsEngine::run_serial(const CSRGraph& g, vid_t source,
-                                const HybridBFSOptions& opts) {
-  BFSResult r;
-  run_serial_into(g, source, opts, r);
-  return r;
-}
+template void BfsEngine::run_into(const CSRGraph&, vid_t, int,
+                                  const HybridBFSOptions&, BFSResult&,
+                                  std::vector<BfsLevelStats>*);
+template void BfsEngine::run_into(const CompressedCSR&, vid_t, int,
+                                  const HybridBFSOptions&, BFSResult&,
+                                  std::vector<BfsLevelStats>*);
 
 }  // namespace snap

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "snap/graph/csr_graph.hpp"
+#include "snap/graph/adjacency.hpp"
 #include "snap/kernels/bfs.hpp"
 #include "snap/util/bitmap.hpp"
 #include "snap/util/parallel.hpp"
@@ -53,21 +51,16 @@ class FrontierPool {
 /// region + prefix sum cost more than the scan itself.
 inline constexpr eid_t kSerialExpandArcs = 2048;
 
-/// Arc-balanced parallel expansion of a sparse frontier (§3's balancing fix
-/// for skewed degrees): the frontier's degrees are prefix-summed and each
-/// thread takes an equal *arc* range, so one hub cannot serialize a level.
-/// `visit(u, v)` is called exactly once per frontier arc and must return
-/// true iff it newly claimed v; claimed vertices land in `next` (cleared
-/// first).  All intermediates come from `pool`, so steady-state expansion
-/// allocates nothing.
-template <typename Visit>
-void expand_arc_balanced(const CSRGraph& g, const std::vector<vid_t>& frontier,
-                         std::vector<vid_t>& next, FrontierPool& pool,
-                         Visit&& visit) {
-  next.clear();
+namespace frontier_detail {
+
+/// The team half of expand_arc_balanced: prefix-sum the frontier's degrees
+/// and give each of `threads` an equal arc range.  Returns false, having
+/// expanded nothing, when the level has fewer than kSerialExpandArcs arcs.
+template <AdjacencyView G, typename Visit>
+bool expand_split(const G& g, const std::vector<vid_t>& frontier,
+                  std::vector<vid_t>& next, FrontierPool& pool, int threads,
+                  Visit visit) {
   const auto fsz = static_cast<std::int64_t>(frontier.size());
-  if (fsz == 0) return;
-  const int nt = parallel::num_threads();
   auto& degs = pool.degrees();
   degs.resize(static_cast<std::size_t>(fsz));
   for (std::int64_t i = 0; i < fsz; ++i)
@@ -75,47 +68,76 @@ void expand_arc_balanced(const CSRGraph& g, const std::vector<vid_t>& frontier,
   auto& off = pool.offsets();
   parallel::exclusive_prefix_sum(degs, off);
   const eid_t total_arcs = off[static_cast<std::size_t>(fsz)];
+  if (total_arcs < kSerialExpandArcs) return false;
 
-  if (nt == 1 || total_arcs < kSerialExpandArcs) {
-    for (std::int64_t i = 0; i < fsz; ++i) {
-      const vid_t u = frontier[static_cast<std::size_t>(i)];
-      for (vid_t v : g.neighbors(u))
-        if (visit(u, v)) next.push_back(v);
-    }
-    return;
-  }
-
-  pool.prepare(nt);
-  parallel::run_team(nt, [&](int t) {
+  pool.prepare(threads);
+  parallel::run_team(threads, [&](int t) {
     auto& out = pool.local(t);
     out.clear();
-    const eid_t arc_lo = total_arcs * t / nt;
-    const eid_t arc_hi = total_arcs * (t + 1) / nt;
-    if (arc_lo < arc_hi) {
-      // First frontier vertex whose arc range intersects [arc_lo, arc_hi).
-      std::int64_t i = static_cast<std::int64_t>(
-          std::upper_bound(off.begin(), off.begin() + fsz + 1, arc_lo) -
-          off.begin() - 1);
-      for (; i < fsz && off[static_cast<std::size_t>(i)] < arc_hi; ++i) {
-        const vid_t u = frontier[static_cast<std::size_t>(i)];
+    const eid_t arc_lo = total_arcs * t / threads;
+    const eid_t arc_hi = total_arcs * (t + 1) / threads;
+    if (arc_lo >= arc_hi) return;
+    // First frontier vertex whose arc range intersects [arc_lo, arc_hi).
+    std::int64_t i = static_cast<std::int64_t>(
+        std::upper_bound(off.begin(), off.begin() + fsz + 1, arc_lo) -
+        off.begin() - 1);
+    for (; i < fsz && off[static_cast<std::size_t>(i)] < arc_hi; ++i) {
+      const vid_t u = frontier[static_cast<std::size_t>(i)];
+      const eid_t base = off[static_cast<std::size_t>(i)];
+      const eid_t lo = std::max<eid_t>(arc_lo - base, 0);
+      const eid_t hi = std::min<eid_t>(arc_hi - base,
+                                       degs[static_cast<std::size_t>(i)]);
+      // Slots [lo, hi) of u's row: indexed where rows are contiguous,
+      // otherwise decoded from the row start.
+      if constexpr (ContiguousRows<G>) {
         const auto nb = g.neighbors(u);
-        const eid_t base = off[static_cast<std::size_t>(i)];
-        const eid_t lo = std::max<eid_t>(arc_lo - base, 0);
-        const eid_t hi =
-            std::min<eid_t>(arc_hi - base, static_cast<eid_t>(nb.size()));
         for (eid_t j = lo; j < hi; ++j) {
           const vid_t v = nb[static_cast<std::size_t>(j)];
           if (visit(u, v)) out.push_back(v);
         }
+      } else {
+        eid_t j = 0;
+        g.for_each_neighbor_while(u, [&](vid_t v) {
+          if (j >= lo && visit(u, v)) out.push_back(v);
+          return ++j < hi;
+        });
       }
     }
   });
   pool.collect_into(next);
+  return true;
+}
+
+}  // namespace frontier_detail
+
+/// Arc-balanced parallel expansion of a sparse frontier (§3's balancing fix
+/// for skewed degrees) on a team of `threads`: the frontier's degrees are
+/// prefix-summed and each thread takes an equal *arc* range, so one hub
+/// cannot serialize a level.  `visit(u, v)` is called exactly once per
+/// frontier arc and must return true iff it newly claimed v; claimed
+/// vertices land in `next` (cleared first).  At one thread, or below
+/// kSerialExpandArcs, the frontier is expanded by the plain loop here.  All
+/// intermediates come from `pool`, so steady-state expansion allocates
+/// nothing.  The visitor is taken by value: the team path gets its own copy,
+/// so the plain loop's copy never escapes and stays in registers.
+template <AdjacencyView G, typename Visit>
+void expand_arc_balanced(const G& g, const std::vector<vid_t>& frontier,
+                         std::vector<vid_t>& next, FrontierPool& pool,
+                         int threads, Visit visit) {
+  next.clear();
+  if (threads > 1 && !frontier.empty() &&
+      frontier_detail::expand_split(g, frontier, next, pool, threads, visit))
+    return;
+  for (const vid_t u : frontier)
+    g.for_each_neighbor_while(u, [&](vid_t v) {
+      if (visit(u, v)) next.push_back(v);
+      return true;
+    });
 }
 
 /// A BFS frontier that is either sparse (vertex list, expanded by push) or
 /// dense (bitmap over all vertices, expanded by bottom-up pull).  The
-/// traversal engines convert between the two as the Beamer alpha/beta
+/// traversal engine converts between the two as the Beamer alpha/beta
 /// heuristic dictates; both representations keep their storage across
 /// levels and runs.
 class Frontier {
@@ -155,7 +177,8 @@ class Frontier {
     arcs_ = arcs;
   }
 
-  void assume_sparse(const CSRGraph& g) {
+  template <AdjacencyView G>
+  void assume_sparse(const G& g) {
     dense_ = false;
     size_ = static_cast<vid_t>(list_.size());
     eid_t a = 0;
@@ -164,27 +187,29 @@ class Frontier {
   }
 
   /// Sparse -> dense: scatter the vertex list into the bitmap.
-  void to_dense() {
+  void to_dense(int threads) {
     bits_.resize(static_cast<std::size_t>(n_));
     const auto fsz = static_cast<std::int64_t>(list_.size());
-    parallel::parallel_for(fsz, [&](std::int64_t i) {
-      bits_.set(static_cast<std::size_t>(list_[static_cast<std::size_t>(i)]));
+    parallel::run_team(threads, [&](int t) {
+      for (std::int64_t i = fsz * t / threads; i < fsz * (t + 1) / threads;
+           ++i)
+        bits_.set(static_cast<std::size_t>(list_[static_cast<std::size_t>(i)]));
     });
     dense_ = true;
   }
 
   /// Dense -> sparse: gather the vertices whose `dist` equals `level` (the
   /// depth this frontier was discovered at) back into the list.
-  void to_sparse(const CSRGraph& g, const std::vector<std::int64_t>& dist,
-                 std::int64_t level, FrontierPool& pool) {
-    const int nt = parallel::num_threads();
-    pool.prepare(nt);
-    parallel::run_team(nt, [&](int t) {
+  template <AdjacencyView G>
+  void to_sparse(const G& g, const std::vector<std::int64_t>& dist,
+                 std::int64_t level, FrontierPool& pool, int threads) {
+    pool.prepare(threads);
+    parallel::run_team(threads, [&](int t) {
       auto& out = pool.local(t);
       out.clear();
       // Contiguous block per thread, so collect_into yields vertex order.
-      const vid_t lo = n_ * t / nt;
-      const vid_t hi = n_ * (t + 1) / nt;
+      const vid_t lo = n_ * t / threads;
+      const vid_t hi = n_ * (t + 1) / threads;
       for (vid_t v = lo; v < hi; ++v)
         if (dist[static_cast<std::size_t>(v)] == level) out.push_back(v);
     });
@@ -210,32 +235,48 @@ class Frontier {
   AtomicBitmap bits_;
 };
 
-/// Direction-optimizing BFS engine over the shared frontier substrate.
-/// One engine owns all traversal scratch (frontier pair, visited bitmap,
-/// buffer pool), so a client running many searches — closeness, path-length
-/// sampling, the betweenness forward phase — reuses every allocation.
+/// The direction-optimizing BFS engine — the one level loop behind every
+/// BFS entry point, on every layout (any AdjacencyView; instantiated for
+/// CSRGraph and CompressedCSR) and at every team width.  Each level makes
+/// the Beamer alpha/beta direction decision, then expands either by
+/// arc-balanced push or by bitmap pull, and appends its BfsLevelStats to
+/// the optional trace.
 ///
-/// run() parallelizes within each level (arc-balanced push / bitmap pull);
-/// run_serial() is the same hybrid without OpenMP, for clients that already
-/// parallelize across sources and want one engine per thread.
-/// An engine instance is not thread-safe; share nothing between threads.
+/// The caller picks the team width.  Above one thread a level is split
+/// across the team (arc-balanced push claiming vertices through an atomic
+/// bitmap, chunked pull); at one thread every level runs as plain loops
+/// and the distance array is the claim, which is what sweep clients that
+/// already parallelize across sources want (closeness, sampled path
+/// length: one engine per thread, run_into at width 1).  One engine owns
+/// all traversal scratch (frontier pair, visited bitmap, buffer pool) and
+/// run_into reuses the caller's result buffers, so a sweep allocates
+/// nothing per source.  An engine instance is not thread-safe; share
+/// nothing between threads.
 class BfsEngine {
  public:
-  BFSResult run(const CSRGraph& g, vid_t source,
-                const HybridBFSOptions& opts = {},
+  /// Search from `source` on a team of `threads` into `r`, whose buffers
+  /// are reused.  n = 0 yields the empty result; otherwise `source` must
+  /// lie in [0, n).
+  template <AdjacencyView G>
+  void run_into(const G& g, vid_t source, int threads,
+                const HybridBFSOptions& opts, BFSResult& r,
                 std::vector<BfsLevelStats>* trace = nullptr);
 
-  BFSResult run_serial(const CSRGraph& g, vid_t source,
-                       const HybridBFSOptions& opts = {});
-
-  /// As run_serial, but reuses the caller's result buffers (no per-source
-  /// vector allocations in sweep loops).
-  void run_serial_into(const CSRGraph& g, vid_t source,
-                       const HybridBFSOptions& opts, BFSResult& r);
-
-  FrontierPool& pool() { return pool_; }
+  /// run_into on a team of parallel::num_threads(), into a fresh result.
+  template <AdjacencyView G>
+  BFSResult run(const G& g, vid_t source, const HybridBFSOptions& opts = {},
+                std::vector<BfsLevelStats>* trace = nullptr) {
+    BFSResult r;
+    run_into(g, source, parallel::num_threads(), opts, r, trace);
+    return r;
+  }
 
  private:
+  template <bool kTeam, AdjacencyView G>
+  void levels(const G& g, vid_t source, int threads,
+              const HybridBFSOptions& opts, BFSResult& r,
+              std::vector<BfsLevelStats>* trace);
+
   Frontier cur_, next_;
   AtomicBitmap visited_;
   FrontierPool pool_;

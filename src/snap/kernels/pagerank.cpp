@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "snap/debug/check.hpp"
+#include "snap/graph/adjacency.hpp"
 #include "snap/graph/compressed_csr.hpp"
 #include "snap/util/parallel.hpp"
 
@@ -71,14 +72,17 @@ using pagerank_detail::init_mass;
 using pagerank_detail::quantized_damping;
 using pagerank_detail::residual_threshold;
 
-/// The engine, generic over the adjacency read path: `deg(v)` is the stored
-/// arc count and `row_sum(v, contrib)` returns the exact integer sum of
-/// contrib over v's neighbors.  Every reduction is an integer sum, so the
-/// serial and parallel paths — and any regrouping a caller's layout implies
-/// — are bitwise identical by construction (exact ordered reduction).
-template <typename DegFn, typename RowSumFn>
-PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
-                        RowSumFn&& row_sum) {
+/// The engine, generic over the layout (any AdjacencyView): the scatter
+/// reads each vertex's stored arc count, the gather sums contrib over its
+/// row through the view's visitor.  Every reduction is an integer sum, so
+/// the serial and parallel paths — and any regrouping a layout implies —
+/// are bitwise identical by construction (exact ordered reduction).
+template <AdjacencyView G>
+PageRankResult run_flat(const G& g, const PageRankParams& params) {
+  SNAP_ASSERT(!g.directed(),
+              "pagerank requires an undirected graph (fold with "
+              "as_undirected)");
+  const vid_t n = g.num_vertices();
   PageRankResult empty;
   if (n == 0) return empty;
   SNAP_ASSERT(params.max_iters >= 0, "pagerank: max_iters ", params.max_iters,
@@ -97,36 +101,42 @@ PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
   int iterations = 0;
   std::uint64_t residual = 0;
   for (int it = 0; it < params.max_iters; ++it) {
-    auto scatter = [&](vid_t v) {
-      const auto sv = static_cast<std::size_t>(v);
-      const eid_t d = deg(v);
-      contrib[sv] = d > 0 ? mass[sv] / static_cast<std::uint64_t>(d) : 0;
+    // Plain array pointers, captured by value: the per-vertex loops read no
+    // state through the closures on this (the forking thread's) stack.
+    const std::uint64_t* const cur = mass.data();
+    std::uint64_t* const out = contrib.data();
+    std::uint64_t* const nxt = next.data();
+    auto scatter = [&g, cur, out](vid_t v) {
+      const eid_t d = g.degree(v);
+      out[v] = d > 0 ? cur[v] / static_cast<std::uint64_t>(d) : 0;
     };
-    auto gather = [&](vid_t v) {
-      next[static_cast<std::size_t>(v)] = damp(row_sum(v, contrib), d_num);
+    auto gather = [&g, out, nxt, d_num](vid_t v) {
+      std::uint64_t sum = 0;
+      g.for_each_neighbor_while(v, [&](vid_t u) {
+        sum += out[u];
+        return true;
+      });
+      nxt[v] = damp(sum, d_num);
     };
     std::uint64_t kept = 0;
     if (par) {
       parallel::parallel_for(n, scatter);
       parallel::parallel_for(n, gather);
-      kept = parallel::parallel_reduce_sum<std::uint64_t>(n, [&](vid_t v) {
-        return next[static_cast<std::size_t>(v)];
-      });
+      kept = parallel::parallel_reduce_sum<std::uint64_t>(
+          n, [nxt](vid_t v) { return nxt[v]; });
     } else {
       for (vid_t v = 0; v < n; ++v) scatter(v);
       for (vid_t v = 0; v < n; ++v) gather(v);
-      for (vid_t v = 0; v < n; ++v) kept += next[static_cast<std::size_t>(v)];
+      for (vid_t v = 0; v < n; ++v) kept += nxt[v];
     }
     // Teleport + dangling + rounding loss, redistributed uniformly; total
     // mass is exactly kTotalMass after every iteration.
     const std::uint64_t pool = kTotalMass - kept;
     const std::uint64_t share = pool / un;
     const std::uint64_t rem = pool % un;
-    auto settle = [&](vid_t v) -> std::uint64_t {
-      const auto sv = static_cast<std::size_t>(v);
-      next[sv] += share + (static_cast<std::uint64_t>(v) < rem ? 1 : 0);
-      const std::uint64_t m = mass[sv];
-      return next[sv] > m ? next[sv] - m : m - next[sv];
+    auto settle = [cur, nxt, share, rem](vid_t v) -> std::uint64_t {
+      nxt[v] += share + (static_cast<std::uint64_t>(v) < rem ? 1 : 0);
+      return nxt[v] > cur[v] ? nxt[v] - cur[v] : cur[v] - nxt[v];
     };
     if (par) {
       residual = parallel::parallel_reduce_sum<std::uint64_t>(n, settle);
@@ -144,39 +154,12 @@ PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
 }  // namespace
 
 PageRankResult pagerank(const CSRGraph& g, const PageRankParams& params) {
-  SNAP_ASSERT(!g.directed(),
-              "pagerank requires an undirected graph (fold with "
-              "as_undirected)");
-  const vid_t n = g.num_vertices();
-  return run_flat(
-      n, params, [&](vid_t v) { return g.degree(v); },
-      [&](vid_t v, const std::vector<std::uint64_t>& contrib) {
-        std::uint64_t s = 0;
-        for (const vid_t u : g.neighbors(v))
-          s += contrib[static_cast<std::size_t>(u)];
-        return s;
-      });
+  return run_flat(g, params);
 }
 
 PageRankResult pagerank_compressed(const CompressedCSR& g,
                                    const PageRankParams& params) {
-  SNAP_ASSERT(!g.directed(),
-              "pagerank_compressed requires an undirected graph");
-  const vid_t n = g.num_vertices();
-  // Decode degrees once: the scatter phase needs deg(v) per vertex and the
-  // varint header read is cheap but not free.
-  std::vector<eid_t> deg(static_cast<std::size_t>(n));
-  parallel::parallel_for(
-      n, [&](vid_t v) { deg[static_cast<std::size_t>(v)] = g.degree(v); });
-  return run_flat(
-      n, params,
-      [&](vid_t v) { return deg[static_cast<std::size_t>(v)]; },
-      [&](vid_t v, const std::vector<std::uint64_t>& contrib) {
-        std::uint64_t s = 0;
-        g.for_each_neighbor(
-            v, [&](vid_t u) { s += contrib[static_cast<std::size_t>(u)]; });
-        return s;
-      });
+  return run_flat(g, params);
 }
 
 }  // namespace snap

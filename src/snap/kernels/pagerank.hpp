@@ -82,9 +82,9 @@ struct PageRankResult {
 [[nodiscard]] PageRankResult pagerank(const CSRGraph& g,
                                       const PageRankParams& params = {});
 
-/// The same spec over the delta/varint-compressed adjacency: decodes each
-/// row instead of streaming it.  Mass vector is bitwise identical to
-/// pagerank() on the source graph.
+/// The same engine instantiated on the delta/varint-compressed adjacency
+/// (any AdjacencyView runs it): decodes each row instead of streaming it.
+/// Mass vector is bitwise identical to pagerank() on the source graph.
 [[nodiscard]] PageRankResult pagerank_compressed(
     const CompressedCSR& g, const PageRankParams& params = {});
 

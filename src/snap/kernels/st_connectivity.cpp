@@ -32,6 +32,7 @@ StConnectivity st_connectivity(const CSRGraph& g, vid_t s, vid_t t) {
   mark[static_cast<std::size_t>(t)].store(-1, std::memory_order_relaxed);
   std::vector<vid_t> fs{s}, ft{t}, next;
   FrontierPool pool;
+  const int nt = parallel::num_threads();
   std::int64_t ds = 0, dt = 0;  // depths expanded so far on each side
   r.vertices_touched = 2;
 
@@ -47,7 +48,7 @@ StConnectivity st_connectivity(const CSRGraph& g, vid_t s, vid_t t) {
     const std::int64_t depth = (from_s ? ++ds : ++dt);
     const std::int64_t claim = from_s ? depth + 1 : -(depth + 1);
     expand_arc_balanced(
-        g, frontier, next, pool, [&](vid_t, vid_t v) {
+        g, frontier, next, pool, nt, [&](vid_t, vid_t v) {
           auto& mv = mark[static_cast<std::size_t>(v)];
           std::int64_t expected = 0;
           if (mv.compare_exchange_strong(expected, claim,

@@ -19,15 +19,16 @@ PathLengthStats from_sources(const CSRGraph& g,
   std::atomic<std::int64_t> total_pairs{0};
   std::atomic<std::int64_t> max_ecc{0};
   const auto num_sources = static_cast<vid_t>(sources.size());
-  // One direction-optimizing engine per thread: all traversal scratch is
-  // allocated once per thread and reused across the source sweep.
+  // One direction-optimizing engine per thread, each run at team width 1:
+  // all traversal scratch is allocated once per thread and reused across
+  // the source sweep.
   std::atomic<vid_t> cursor{0};
   parallel::run_team(parallel::num_threads(), [&](int) {
     BfsEngine engine;
     BFSResult b;
     for (vid_t i;
          (i = cursor.fetch_add(1, std::memory_order_relaxed)) < num_sources;) {
-      engine.run_serial_into(g, sources[static_cast<std::size_t>(i)], {}, b);
+      engine.run_into(g, sources[static_cast<std::size_t>(i)], 1, {}, b);
       std::int64_t sum = 0, cnt = 0;
       for (std::int64_t d : b.dist) {
         if (d > 0) {

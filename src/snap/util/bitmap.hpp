@@ -56,6 +56,15 @@ class AtomicBitmap {
     words_[i >> 6].fetch_or(1ULL << (i & 63), std::memory_order_relaxed);
   }
 
+  /// Set bit i when no other thread writes its 64-bit word concurrently
+  /// (the caller owns a word-aligned range): a plain load/store pair
+  /// instead of a locked read-modify-write.
+  void set_owned(std::size_t i) {
+    auto& w = words_[i >> 6];
+    w.store(w.load(std::memory_order_relaxed) | (1ULL << (i & 63)),
+            std::memory_order_relaxed);
+  }
+
  private:
   std::size_t bits_ = 0;
   std::vector<std::atomic<std::uint64_t>> words_;

@@ -4,6 +4,7 @@
 // every thread count the encode might have run under.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -14,6 +15,7 @@
 #include "snap/graph/compressed_csr.hpp"
 #include "snap/graph/csr_graph.hpp"
 #include "snap/kernels/bfs.hpp"
+#include "snap/kernels/frontier.hpp"
 #include "snap/util/parallel.hpp"
 #include "snap/util/rng.hpp"
 
@@ -96,17 +98,27 @@ void expect_decodes_identically(const CSRGraph& g, const std::string& what) {
     const auto expected = g.neighbors(v);
     ASSERT_EQ(c.degree(v), static_cast<eid_t>(expected.size()))
         << what << " vertex " << v;
-    c.decode_neighbors(v, decoded);
+    // The visitor replays the CSR row value for value, in order.
+    decoded.clear();
+    c.for_each_neighbor_while(v, [&](vid_t w) {
+      decoded.push_back(w);
+      return true;
+    });
     ASSERT_EQ(decoded.size(), expected.size()) << what << " vertex " << v;
     for (std::size_t i = 0; i < expected.size(); ++i)
       ASSERT_EQ(decoded[i], expected[i])
           << what << " vertex " << v << " slot " << i;
-    // The block cursor must replay the same values in the same order.
-    auto cursor = c.neighbors(v);
-    std::size_t at = 0;
-    for (auto block = cursor.next(); !block.empty(); block = cursor.next())
-      for (const vid_t w : block) ASSERT_EQ(w, expected[at++]) << what;
-    ASSERT_EQ(at, expected.size()) << what << " vertex " << v;
+    // ...and stops at the first false: a prefix, never a skipped value.
+    const std::size_t stop = expected.size() / 2;
+    decoded.clear();
+    c.for_each_neighbor_while(v, [&](vid_t w) {
+      decoded.push_back(w);
+      return decoded.size() <= stop;
+    });
+    ASSERT_EQ(decoded.size(), std::min(expected.size(), stop + 1))
+        << what << " vertex " << v;
+    for (std::size_t i = 0; i < decoded.size(); ++i)
+      ASSERT_EQ(decoded[i], expected[i]) << what << " vertex " << v;
   }
 }
 
@@ -183,34 +195,100 @@ TEST(CompressedCSR, CompressesSortedSmallWorldAdjacency) {
             static_cast<std::size_t>(g.num_arcs()) * sizeof(vid_t) / 2);
 }
 
+HybridBFSOptions forced_pull() {
+  HybridBFSOptions o;
+  o.alpha = 1e18;
+  o.beta = 1e18;
+  o.min_pull_arcs = 0;
+  return o;
+}
+
+/// The engine on the compressed layout from `source`, against bfs_serial on
+/// the source graph: equal dist / num_visited / num_levels, a valid parent
+/// tree (every parent is an in-neighbor one level up), and a trace whose
+/// discoveries add up.  bfs_compressed is the default-knob instantiation.
+void expect_matches_serial(const CSRGraph& g, const CompressedCSR& c,
+                           vid_t source, const HybridBFSOptions& opts,
+                           const std::string& what) {
+  const BFSResult ref = bfs_serial(g, source);
+  ASSERT_EQ(bfs_compressed(c, source).dist, ref.dist) << what;
+  std::vector<BfsLevelStats> trace;
+  const BFSResult got = BfsEngine().run(c, source, opts, &trace);
+  ASSERT_EQ(got.dist, ref.dist) << what;
+  EXPECT_EQ(got.num_visited, ref.num_visited) << what;
+  EXPECT_EQ(got.num_levels, ref.num_levels) << what;
+  if (g.num_vertices() == 0) return;
+  EXPECT_EQ(got.parent[static_cast<std::size_t>(source)], source) << what;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    if (got.dist[sv] < 0) {
+      ASSERT_EQ(got.parent[sv], kInvalidVid) << what << " vertex " << v;
+      continue;
+    }
+    if (v == source) continue;
+    const vid_t p = got.parent[sv];
+    ASSERT_NE(p, kInvalidVid) << what << " vertex " << v;
+    ASSERT_EQ(got.dist[static_cast<std::size_t>(p)], got.dist[sv] - 1)
+        << what << " vertex " << v;
+    ASSERT_TRUE(g.has_edge(p, v)) << what << " vertex " << v;
+  }
+  vid_t discovered = 1;  // the source
+  for (const auto& lv : trace) discovered += lv.discovered;
+  EXPECT_EQ(discovered, got.num_visited) << what;
+}
+
 TEST(CompressedCSR, BfsMatchesSerialReference) {
-  for (const auto& [name, g] : {std::pair<std::string, CSRGraph>{
-                                    "rmat",
-                                    [] {
-                                      gen::RmatParams p;
-                                      p.scale = 11;
-                                      p.edge_factor = 8;
-                                      p.seed = 23;
-                                      return gen::rmat(p);
-                                    }()},
-                                {"grid", gen::grid_road(40, 40, 0.05, 0.05,
-                                                        24)}}) {
+  for (const auto& [name, g] : generator_corpus()) {
+    const CompressedCSR c = CompressedCSR::from_graph(g);
+    const vid_t n = g.num_vertices();
+    for (const int t : {1, 2, 4, 8}) {
+      parallel::ThreadScope scope(t);
+      for (const auto& [knobs, opts] :
+           {std::pair<std::string, HybridBFSOptions>{"default", {}},
+            {"forced-pull", forced_pull()}}) {
+        for (const vid_t s : {vid_t{0}, n / 2}) {
+          expect_matches_serial(g, c, s, opts,
+                                name + " " + knobs + " source " +
+                                    std::to_string(s) +
+                                    " threads=" + std::to_string(t));
+        }
+      }
+    }
+  }
+}
+
+TEST(CompressedCSR, BfsOnDirectedGraphsFollowsOutArcs) {
+  // A compressed row is out-adjacency; pulling over it on a directed graph
+  // would treat out-arcs as in-arcs.  Two shapes: a directed R-MAT, and a
+  // fan whose second layer (400+i -> i) is reachable only against the
+  // arcs, so a pull level would wrongly visit all 801 vertices.
+  gen::RmatParams rp;
+  rp.scale = 12;
+  rp.directed = true;
+  rp.seed = 5;
+  EdgeList fan;
+  for (vid_t i = 1; i <= 400; ++i) {
+    fan.push_back({0, i, 1.0});
+    fan.push_back({400 + i, i, 1.0});
+  }
+  for (const auto& [name, g] :
+       {std::pair<std::string, CSRGraph>{"rmat12_directed", gen::rmat(rp)},
+        {"fan", CSRGraph::from_edges(801, fan, true)}}) {
+    ASSERT_TRUE(g.directed());
     const CompressedCSR c = CompressedCSR::from_graph(g);
     const BFSResult ref = bfs_serial(g, 0);
     for (const int t : {1, 2, 4, 8}) {
       parallel::ThreadScope scope(t);
-      const BFSResult got = bfs_compressed(c, 0);
-      ASSERT_EQ(got.dist, ref.dist) << name << " threads=" << t;
-      EXPECT_EQ(got.num_visited, ref.num_visited) << name;
-      EXPECT_EQ(got.num_levels, ref.num_levels) << name;
-      // Parents form a valid BFS tree: parent's distance is one less.
-      for (vid_t v = 0; v < g.num_vertices(); ++v) {
-        if (got.dist[static_cast<std::size_t>(v)] <= 0) continue;
-        const vid_t p = got.parent[static_cast<std::size_t>(v)];
-        ASSERT_NE(p, kInvalidVid) << name << " vertex " << v;
-        EXPECT_EQ(got.dist[static_cast<std::size_t>(p)],
-                  got.dist[static_cast<std::size_t>(v)] - 1)
-            << name << " vertex " << v;
+      for (const auto& opts : {HybridBFSOptions{}, forced_pull()}) {
+        const std::string what = name + " threads=" + std::to_string(t);
+        expect_matches_serial(g, c, 0, opts, what);
+        // The same engine on the flat layout, at the team width and at 1.
+        BFSResult flat = bfs_hybrid(g, 0, opts);
+        ASSERT_EQ(flat.dist, ref.dist) << what << " csr";
+        EXPECT_EQ(flat.num_visited, ref.num_visited) << what << " csr";
+        BfsEngine().run_into(g, 0, 1, opts, flat);
+        ASSERT_EQ(flat.dist, ref.dist) << what << " csr width 1";
+        EXPECT_EQ(flat.num_levels, ref.num_levels) << what << " csr width 1";
       }
     }
   }

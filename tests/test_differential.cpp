@@ -112,9 +112,14 @@ TEST_P(Differential, HybridBfsMatchesSerialOracle) {
       EXPECT_TRUE(any_pull) << "pull never engaged";
     }
 
-    // Serial engine path must agree too.
+    // The width-1 engine (plain per-level loops, reused buffers) must agree
+    // too, with default and forced-pull knobs.
     BfsEngine engine;
-    expect_same_bfs(engine.run_serial(g, s), oracle, "serial-hybrid");
+    BFSResult r;
+    engine.run_into(g, s, 1, {}, r);
+    expect_same_bfs(r, oracle, "serial-hybrid");
+    engine.run_into(g, s, 1, pull, r);
+    expect_same_bfs(r, oracle, "serial-hybrid-pull");
   }
 }
 
@@ -125,6 +130,10 @@ TEST_P(Differential, ParentTreesAreValid) {
   const vid_t s = sample_sources(g)[0];
   expect_valid_parents(g, bfs_push(g, s), s, "push");
   expect_valid_parents(g, bfs_hybrid(g, s), s, "hybrid");
+  BfsEngine engine;
+  BFSResult r;
+  engine.run_into(g, s, 1, {}, r);
+  expect_valid_parents(g, r, s, "serial-hybrid");
 }
 
 TEST_P(Differential, ComponentsMatchUnionFindOracle) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "snap/gen/generators.hpp"
+#include "snap/graph/compressed_csr.hpp"
 #include "snap/kernels/bfs.hpp"
 #include "snap/kernels/frontier.hpp"
 #include "snap/util/parallel.hpp"
@@ -25,16 +26,48 @@ HybridBFSOptions forced_pull() {
 
 // ------------------------------------------------------------- degenerate shapes
 
+void expect_empty(const BFSResult& r, const char* what) {
+  EXPECT_TRUE(r.dist.empty()) << what;
+  EXPECT_TRUE(r.parent.empty()) << what;
+  EXPECT_EQ(r.num_visited, 0) << what;
+  EXPECT_EQ(r.num_levels, 0) << what;
+}
+
 TEST(FrontierEdgeCases, EmptyGraph) {
+  // One rule at every entry point, on both layouts: n = 0 returns the empty
+  // result (the source is not looked at).
   const auto g = CSRGraph::from_edges(0, {}, false);
-  BfsEngine engine;
-  const BFSResult r = engine.run(g, 0);
-  EXPECT_TRUE(r.dist.empty());
-  EXPECT_TRUE(r.parent.empty());
-  EXPECT_EQ(r.num_visited, 0);
-  EXPECT_EQ(r.num_levels, 0);
-  const BFSResult rs = engine.run_serial(g, 0);
-  EXPECT_EQ(rs.num_visited, 0);
+  const CompressedCSR c = CompressedCSR::from_graph(g);
+  for (const int threads : {1, 4}) {
+    parallel::ThreadScope scope(threads);
+    expect_empty(bfs_serial(g, 0), "bfs_serial");
+    expect_empty(bfs_masked(g, 0, {}), "bfs_masked");
+    expect_empty(bfs(g, 0), "bfs");
+    expect_empty(bfs_push(g, 0), "bfs_push");
+    expect_empty(bfs_bounded(g, 0, 3), "bfs_bounded");
+    std::vector<BfsLevelStats> trace(2);
+    expect_empty(bfs_hybrid(g, 0, forced_pull(), &trace), "bfs_hybrid");
+    EXPECT_TRUE(trace.empty());
+    expect_empty(bfs_compressed(c, 0), "bfs_compressed");
+    BfsEngine engine;
+    expect_empty(engine.run(c, 0), "engine.run compressed");
+    // Reused buffers are emptied too, at every team width.
+    BFSResult r = bfs_serial(gen::path_graph(5), 0);
+    engine.run_into(g, 0, threads, {}, r);
+    expect_empty(r, "engine.run_into");
+    r = bfs_serial(gen::path_graph(5), 0);
+    engine.run_into(c, 0, threads, {}, r);
+    expect_empty(r, "engine.run_into compressed");
+  }
+}
+
+TEST(FrontierEdgeCasesDeathTest, SourceOutOfRange) {
+  const auto g = gen::path_graph(4);
+  const CompressedCSR c = CompressedCSR::from_graph(g);
+  EXPECT_DEATH((void)bfs_serial(g, 4), "source");
+  EXPECT_DEATH((void)bfs_masked(g, -1, {}), "source");
+  EXPECT_DEATH((void)bfs(g, 4), "source");
+  EXPECT_DEATH((void)bfs_compressed(c, 7), "source");
 }
 
 TEST(FrontierEdgeCases, SingleVertex) {
@@ -127,13 +160,23 @@ TEST(FrontierEdgeCases, EngineIsReusableAcrossGraphsAndRuns) {
   EXPECT_EQ(b1.dist, b2.dist);
   EXPECT_EQ(b1.dist, bfs_serial(big, 0).dist);
   EXPECT_EQ(s1.dist, bfs_serial(small, 0).dist);
-  EXPECT_EQ(engine.run_serial(big, 0).dist, b1.dist);
+  // Width 1 into reused buffers, across graphs of both sizes.
+  BFSResult r;
+  engine.run_into(big, 0, 1, {}, r);
+  EXPECT_EQ(r.dist, b1.dist);
+  engine.run_into(small, 0, 1, {}, r);
+  EXPECT_EQ(r.dist, s1.dist);
+  EXPECT_EQ(r.num_visited, s1.num_visited);
+  engine.run_into(big, 0, 1, forced_pull(), r);
+  EXPECT_EQ(r.dist, b1.dist);
 }
 
 // ------------------------------------------------- expand_arc_balanced unit
 
-TEST(ExpandArcBalanced, VisitsEveryFrontierArcExactlyOnce) {
-  const auto g = gen::star_graph(3000);  // hub degree >> serial threshold
+/// Split one hub row across every team width: threads start mid-row, which
+/// the contiguous layout indexes and the compressed layout decodes up to.
+template <AdjacencyView G>
+void expect_every_arc_once(const G& g) {
   std::vector<vid_t> frontier{0};
   std::vector<vid_t> next;
   FrontierPool pool;
@@ -142,16 +185,23 @@ TEST(ExpandArcBalanced, VisitsEveryFrontierArcExactlyOnce) {
     parallel::ThreadScope scope(threads);
     for (auto& h : hits) h.store(0);
     std::atomic<int> wrong_source{0};
-    expand_arc_balanced(g, frontier, next, pool, [&](vid_t u, vid_t v) {
-      if (u != 0) wrong_source.fetch_add(1);
-      hits[static_cast<std::size_t>(v)].fetch_add(1);
-      return true;
-    });
+    expand_arc_balanced(g, frontier, next, pool, threads,
+                        [&](vid_t u, vid_t v) {
+                          if (u != 0) wrong_source.fetch_add(1);
+                          hits[static_cast<std::size_t>(v)].fetch_add(1);
+                          return true;
+                        });
     EXPECT_EQ(wrong_source.load(), 0);
     EXPECT_EQ(static_cast<vid_t>(next.size()), 3000);
     for (vid_t v = 1; v <= 3000; ++v)
       EXPECT_EQ(hits[static_cast<std::size_t>(v)].load(), 1) << v;
   }
+}
+
+TEST(ExpandArcBalanced, VisitsEveryFrontierArcExactlyOnce) {
+  const auto g = gen::star_graph(3000);  // hub degree >> serial threshold
+  expect_every_arc_once(g);
+  expect_every_arc_once(CompressedCSR::from_graph(g));
 }
 
 // ------------------------------------------------- bounded BFS regression

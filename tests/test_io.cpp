@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "snap/gen/generators.hpp"
 #include "snap/io/binary_io.hpp"
@@ -401,6 +407,119 @@ TEST_F(IoTest, LargeIdsSurviveAllFormats) {
   const auto p2 = track(path("big.bin"));
   io::write_binary(g, p2);
   EXPECT_EQ(io::read_binary(p2).num_vertices(), 100000);
+}
+
+// ---------------------------------------- binary v2 hostile-input checks
+
+constexpr std::size_t kV2HeaderBytes = 48;
+constexpr std::size_t kV2PayloadBytesAt = 32;  // magic, version, flags, n, m
+constexpr std::size_t kV2ChecksumAt = 40;
+
+/// A 48-byte SNAPB2 header with no payload behind it.
+void write_bare_v2_header(const std::string& p, std::int64_t n,
+                          std::int64_t m, std::uint64_t payload_bytes) {
+  std::ofstream out(p, std::ios::binary);
+  const char magic[8] = {'S', 'N', 'A', 'P', 'B', '2', '\n', '\0'};
+  const std::uint32_t version = io::kBinaryFormatVersion, flags = 0;
+  const std::uint64_t checksum = 0;
+  out.write(magic, 8);
+  out.write(reinterpret_cast<const char*>(&version), 4);
+  out.write(reinterpret_cast<const char*>(&flags), 4);
+  out.write(reinterpret_cast<const char*>(&n), 8);
+  out.write(reinterpret_cast<const char*>(&m), 8);
+  out.write(reinterpret_cast<const char*>(&payload_bytes), 8);
+  out.write(reinterpret_cast<const char*>(&checksum), 8);
+}
+
+/// Let `mutate` edit the payload of an unweighted SNAPB2 file as 64-bit
+/// words (offsets, then adjacency, arc edge ids, edge endpoints), then
+/// re-seal it with a valid FNV-1a checksum, so only the validity checks
+/// stand between the edit and the reader.
+template <typename Mutate>
+void rewrite_v2_payload(const std::string& p, Mutate&& mutate) {
+  std::vector<char> bytes;
+  {
+    std::ifstream in(p, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ((bytes.size() - kV2HeaderBytes) % 8, 0u);
+  std::vector<std::int64_t> words((bytes.size() - kV2HeaderBytes) / 8);
+  std::memcpy(words.data(), bytes.data() + kV2HeaderBytes, words.size() * 8);
+  mutate(words);
+  std::memcpy(bytes.data() + kV2HeaderBytes, words.data(), words.size() * 8);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = kV2HeaderBytes; i < bytes.size(); ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes.data() + kV2ChecksumAt, &h, sizeof(h));
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_rejected(const std::string& p, const std::string& names) {
+  try {
+    io::read_binary(p);
+    ADD_FAILURE() << "invalid file was accepted (expected: " << names << ")";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(IoTest, BinaryV2OversizedHeaderRejectedBeforeAllocating) {
+  // n = 2^40 would ask for 8 TiB of offsets.  Whether or not the header's
+  // payload count agrees with n, the reader must compare it with the file
+  // (48 bytes) and throw, not allocate.
+  const std::int64_t n = std::int64_t{1} << 40;
+  const auto p = track(path("oversized.bin"));
+  write_bare_v2_header(p, n, 0, static_cast<std::uint64_t>(n + 1) * 8);
+  expect_rejected(p, "truncated");
+  write_bare_v2_header(p, n, 0, 0);
+  expect_rejected(p, "payload size");
+  write_bare_v2_header(p, 0, std::int64_t{1} << 40, 8);
+  expect_rejected(p, "payload size");
+  // The payload count itself must agree with the file size: a header with a
+  // self-consistent (n, m, payload) over a short file is truncated.
+  const auto g = gen::path_graph(6);
+  io::write_binary(g, p);
+  std::filesystem::resize_file(p, std::filesystem::file_size(p) - 8);
+  expect_rejected(p, "truncated");
+}
+
+TEST_F(IoTest, BinaryV2NonMonotoneOffsetsRejected) {
+  // A checksum proves integrity, not validity: one offset out of order, with
+  // the first and last offsets intact and the checksum recomputed.
+  const auto g = gen::path_graph(8);  // offsets 0 1 3 5 7 9 11 13 14
+  const auto p = track(path("nonmonotone.bin"));
+  io::write_binary(g, p);
+  rewrite_v2_payload(p, [](std::vector<std::int64_t>& w) { w[3] = 2; });
+  expect_rejected(p, "offsets array is not non-decreasing");
+}
+
+TEST_F(IoTest, BinaryV2OutOfRangeIndicesRejected) {
+  const auto g = gen::path_graph(8);  // n = 8, m = 7, 14 arcs
+  const std::size_t adj_at = 9, ids_at = adj_at + 14, edges_at = ids_at + 14;
+  const auto p = track(path("badindex.bin"));
+  struct Case {
+    std::size_t slot;
+    std::int64_t past_end;  // the first out-of-range value above
+    std::string names;
+  };
+  const Case cases[] = {{adj_at + 5, 8, "adjacency"},
+                        {ids_at + 2, 7, "arc edge id"},
+                        {edges_at + 3, 8, "edge array"}};
+  for (const auto& c : cases) {
+    for (const std::int64_t bad : {std::int64_t{-1}, c.past_end}) {
+      io::write_binary(g, p);
+      rewrite_v2_payload(p,
+                         [&](std::vector<std::int64_t>& w) { w[c.slot] = bad; });
+      expect_rejected(p, c.names);
+    }
+  }
+  // The untouched file still reads.
+  io::write_binary(g, p);
+  EXPECT_EQ(io::read_binary(p).num_edges(), 7);
 }
 
 }  // namespace

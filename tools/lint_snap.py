@@ -39,6 +39,13 @@ that are unique to this codebase's determinism and performance guarantees:
                     engine selects between them through the one
                     snap::ExecPath and parallel::use_parallel; a private
                     copy of that enum brings back a private cutoff policy.
+  bfs-engine        No function returning BFSResult may be defined in
+                    snap library code outside snap/kernels/bfs.cpp and
+                    snap/kernels/frontier.{hpp,cpp}.  Every BFS entry
+                    point, on every layout, instantiates the one
+                    direction-optimizing level loop (BfsEngine) or is a
+                    serial oracle beside it; a BFS defined elsewhere is a
+                    private engine with its own switch rule.
 
 Suppress a finding with `// lint:allow(<rule>)` on the offending line.
 
@@ -323,12 +330,58 @@ def check_exec_path(path, raw, code):
                       "snap/util/parallel.hpp)")
 
 
+# A declarator whose return type is BFSResult (optionally snap::-qualified),
+# or a trailing `-> BFSResult`; a definition follows its parameter list with
+# a body rather than ';'.
+BFS_RESULT_DECL = re.compile(
+    r"\b(?:snap\s*::\s*)?BFSResult\s+(?:\w+\s*::\s*)*~?\w+\s*\(")
+BFS_RESULT_TRAILING = re.compile(r"->\s*(?:snap\s*::\s*)?BFSResult\s*\{")
+FUNCTION_BODY = re.compile(r"\s*(?:(?:const|noexcept|override|final)\b\s*)*\{")
+BFS_ENGINE_HOMES = {"bfs.cpp", "frontier.hpp", "frontier.cpp"}
+
+
+def matching_paren(text: str, i: int) -> int | None:
+    """Index of the ')' closing the '(' at text[i], or None."""
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] == "(":
+            depth += 1
+        elif text[j] == ")":
+            depth -= 1
+            if depth == 0:
+                return j
+    return None
+
+
+def check_bfs_engine(path, raw, code):
+    if path.parent.name == "kernels" and path.name in BFS_ENGINE_HOMES:
+        return  # the one engine and the serial oracles
+    text = "\n".join(code)
+    starts = []
+    for m in BFS_RESULT_DECL.finditer(text):
+        close = matching_paren(text, m.end() - 1)
+        if close is not None and FUNCTION_BODY.match(text, close + 1):
+            starts.append(m.start())
+    starts += [m.start() for m in BFS_RESULT_TRAILING.finditer(text)]
+    for start in sorted(starts):
+        i = text.count("\n", 0, start)
+        if suppressed(raw, i, "bfs-engine"):
+            continue
+        yield Finding(path, i + 1, "bfs-engine",
+                      "function returning BFSResult defined outside "
+                      "snap/kernels/bfs.cpp and snap/kernels/frontier.*; "
+                      "instantiate BfsEngine over an AdjacencyView "
+                      "(snap/graph/adjacency.hpp) instead of writing "
+                      "another BFS")
+
+
 CHECKS = [check_randomness, check_std_function, check_omp_critical,
           check_reduction_note, check_raw_mutex, check_guard_note,
-          check_exec_path]
+          check_exec_path, check_bfs_engine]
 
 RULE_NAMES = ["randomness", "std-function", "omp-critical",
-              "reduction-note", "raw-mutex", "guard-note", "exec-path"]
+              "reduction-note", "raw-mutex", "guard-note", "exec-path",
+              "bfs-engine"]
 
 
 def lint_file(path: pathlib.Path) -> list[Finding]:
