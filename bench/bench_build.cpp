@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
       inst.n = cg.num_vertices();
       inst.directed = cg.directed();
       inst.params = {{"family", "corpus"}};
-      const snap::EdgeList edges = cg.edges();
+      const snap::EdgeList edges = cg.edges().to_list();
       inst.make_edges = [edges] { return edges; };
       insts.push_back(std::move(inst));
     } else {

@@ -13,6 +13,7 @@
 // flat speedup.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -151,10 +152,12 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
 /// and append one record per measurement, so CI archives a perf trajectory
 /// that future PRs diff against.  Records carry the bench name, dataset,
 /// free-form string params (graph scale, edge counts, ...), the thread
-/// count, a phase label, and seconds; numeric-looking values are emitted as
-/// JSON numbers.  Serialization rides on snap/util/json — the same
-/// escape-correct emitter the analytics service answers queries with — so
-/// bench output stays parseable no matter what a dataset label contains.
+/// count, a phase label, and either seconds or an exact `count` (bytes,
+/// elements), which tools/bench_compare.py gates for equality;
+/// numeric-looking values are emitted as JSON numbers.  Serialization rides
+/// on snap/util/json — the same escape-correct emitter the analytics service
+/// answers queries with — so bench output stays parseable no matter what a
+/// dataset label contains.
 class JsonReport {
  public:
   /// `path` empty = disabled (record/write become no-ops).
@@ -167,20 +170,21 @@ class JsonReport {
               const std::string& phase, double seconds,
               double throughput = 0.0) {
     if (path_.empty()) return;
-    snap::json::Value rec = snap::json::Value::object();
-    rec.set("bench", bench_);
-    rec.set("dataset", dataset);
-    rec.set("threads", threads);
-    rec.set("phase", phase);
+    snap::json::Value rec = head(dataset, threads, phase);
     rec.set("seconds", seconds);
     if (throughput > 0) rec.set("throughput", throughput);
-    for (const auto& [k, v] : params) {
-      if (looks_numeric(v))
-        rec.set(k, std::strtod(v.c_str(), nullptr));
-      else
-        rec.set(k, v);
-    }
-    records_.push_back(std::move(rec));
+    push(std::move(rec), params);
+  }
+
+  /// A record of an exact count instead of a time: no `seconds`, so it is
+  /// never time-gated, and any change to `count` fails the comparison.
+  void record_count(const std::string& dataset, const Params& params,
+                    int threads, const std::string& phase,
+                    std::int64_t count) {
+    if (path_.empty()) return;
+    snap::json::Value rec = head(dataset, threads, phase);
+    rec.set("count", count);
+    push(std::move(rec), params);
   }
 
   /// Write the accumulated records as a JSON array, one record per line.
@@ -196,6 +200,26 @@ class JsonReport {
   }
 
  private:
+  snap::json::Value head(const std::string& dataset, int threads,
+                         const std::string& phase) const {
+    snap::json::Value rec = snap::json::Value::object();
+    rec.set("bench", bench_);
+    rec.set("dataset", dataset);
+    rec.set("threads", threads);
+    rec.set("phase", phase);
+    return rec;
+  }
+
+  void push(snap::json::Value rec, const Params& params) {
+    for (const auto& [k, v] : params) {
+      if (looks_numeric(v))
+        rec.set(k, std::strtod(v.c_str(), nullptr));
+      else
+        rec.set(k, v);
+    }
+    records_.push_back(std::move(rec));
+  }
+
   static bool looks_numeric(const std::string& s) {
     if (s.empty()) return false;
     char* end = nullptr;

@@ -253,7 +253,7 @@ BENCHMARK(BM_PmaAgglomeration);
 
 void BM_GraphBuild(benchmark::State& state) {
   const CSRGraph& g = pick(state.range(0) != 0);
-  const EdgeList& edges = g.edges();
+  const EdgeList edges = g.edges().to_list();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         CSRGraph::from_edges(g.num_vertices(), edges, false));
@@ -276,7 +276,7 @@ int run_centrality_smoke(int argc, char** argv) {
   rp.seed = 9;
   const CSRGraph g = gen::rmat(rp);
   // Weighted twin of the same topology (distinct weights, Dijkstra phase).
-  EdgeList wedges = g.edges();
+  EdgeList wedges = g.edges().to_list();
   for (std::size_t i = 0; i < wedges.size(); ++i)
     wedges[i].w = static_cast<weight_t>(1 + (i % 7));
   const CSRGraph wg = CSRGraph::from_edges(g.num_vertices(), wedges, false);

@@ -150,13 +150,27 @@ int main(int argc, char** argv) {
   rec("prepass:compressed", s_comp);
   const double plain_bytes =
       static_cast<double>(g.num_arcs()) * sizeof(vid_t);
+  const double arcs =
+      static_cast<double>(std::max<snap::eid_t>(1, g.num_arcs()));
   std::printf("pre-pass: degree %.2fs, hub %.2fs, compress %.2fs "
               "(%.2f bytes/arc, %.1fx smaller)\n",
               s_deg, s_hub, s_comp,
-              static_cast<double>(compressed.byte_size()) /
-                  static_cast<double>(std::max<snap::eid_t>(1, g.num_arcs())),
+              static_cast<double>(compressed.byte_size()) / arcs,
               plain_bytes / static_cast<double>(std::max<std::size_t>(
                                 1, compressed.byte_size())));
+
+  // Image sizes are exact counts, not timings: the CSR image (all of it)
+  // and the compressed adjacency, both deterministic for a given graph.
+  // bench_compare fails on any change; bytes per arc is count / arcs.
+  JsonReport::Params size_params = params;
+  size_params.emplace_back("arcs", std::to_string(g.num_arcs()));
+  report.record_count(dataset, size_params, threads, "bytes:csr",
+                      static_cast<std::int64_t>(g.byte_size()));
+  report.record_count(dataset, size_params, threads, "bytes:compressed",
+                      static_cast<std::int64_t>(compressed.byte_size()));
+  std::printf("image: CSR %zu B (%.2f B/arc), compressed %zu B\n",
+              g.byte_size(), static_cast<double>(g.byte_size()) / arcs,
+              compressed.byte_size());
 
   snap::PartitionedCSROptions popts;
   popts.num_shards = std::max(4, threads);

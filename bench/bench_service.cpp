@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -108,7 +109,7 @@ double run_direct(vid_t n, const std::vector<Edge>& edges,
     at = hi;
   }
   snap::WallTimer timer;
-  for (const auto& b : batches) sg.apply(b);
+  for (auto& b : batches) sg.apply(std::move(b));
   const double s = timer.elapsed_s();
   *final_edges = sg.pin()->graph().num_edges();
   return s;

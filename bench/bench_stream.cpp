@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,7 +80,7 @@ double run_batched(const snap::CSRGraph& base,
   }
   StreamingGraph sg(DynamicGraph::from_csr(base));
   snap::WallTimer timer;
-  for (const UpdateBatch& batch : batches) sg.apply(batch);
+  for (UpdateBatch& batch : batches) sg.apply(std::move(batch));
   return timer.elapsed_s();
 }
 

@@ -5,6 +5,7 @@
 //
 //   ./dynamic_updates
 #include <cstdio>
+#include <utility>
 
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/graph/csr_graph.hpp"
@@ -103,7 +104,8 @@ int main() {
       else
         batch.insert(u, v, static_cast<std::uint64_t>(i));
     }
-    batched_inserts += static_cast<eid_t>(sg.apply(batch).applied_inserts);
+    batched_inserts +=
+        static_cast<eid_t>(sg.apply(std::move(batch)).applied_inserts);
   }
   std::printf(
       "streaming engine: 10 batches x 20k updates in %.2fs "
@@ -130,7 +132,7 @@ int main() {
   for (int i = 0; i < 1000; ++i)
     batch.insert(static_cast<vid_t>(rng.next_bounded(n)),
                  static_cast<vid_t>(rng.next_bounded(n)));
-  sg.apply(batch);
+  sg.apply(std::move(batch));
   const stream::SnapshotHandle after = sg.pin();
   std::printf(
       "pinned snapshots: epoch %llu holds m=%lld while epoch %llu sees "

@@ -27,6 +27,9 @@ const std::vector<vid_t>& Access::adj(const CSRGraph& g) { return g.adj_; }
 const std::vector<weight_t>& Access::weights(const CSRGraph& g) {
   return g.weights_;
 }
+const std::vector<weight_t>& Access::edge_weights(const CSRGraph& g) {
+  return g.edge_weights_;
+}
 const std::vector<eid_t>& Access::arc_edge_ids(const CSRGraph& g) {
   return g.arc_edge_ids_;
 }
@@ -162,7 +165,7 @@ ValidationReport validate(const CSRGraph& g) {
   const auto& adj = Access::adj(g);
   const auto& weights = Access::weights(g);
   const auto& ids = Access::arc_edge_ids(g);
-  const auto& edges = g.edges();
+  const auto edges = g.edges();
 
   if (!ck.require(offsets.size() == static_cast<std::size_t>(n) + 1,
                   "offsets size ", offsets.size(), " != n+1 = ", n + 1))
@@ -180,8 +183,14 @@ ValidationReport validate(const CSRGraph& g) {
   if (!ck.require(arcs == adj.size(), "offsets cover ", arcs,
                   " arcs but adjacency holds ", adj.size()))
     return report;
-  ck.require(weights.size() == adj.size(), "weight array size ",
-             weights.size(), " != arc count ", adj.size());
+  // Weights are stored only by a weighted graph: per arc and per edge.
+  ck.require(weights.size() == (g.weighted() ? adj.size() : 0),
+             "weight array size ", weights.size(), " for ", adj.size(),
+             " arcs of a graph with weighted=", g.weighted());
+  ck.require(Access::edge_weights(g).size() ==
+                 (g.weighted() ? static_cast<std::size_t>(m) : 0),
+             "edge weight array size ", Access::edge_weights(g).size(),
+             " for m = ", m, " with weighted=", g.weighted());
   ck.require(ids.size() == adj.size(), "edge-id array size ", ids.size(),
              " != arc count ", adj.size());
   ck.require(edges.size() == static_cast<std::size_t>(m),
@@ -192,18 +201,14 @@ ValidationReport validate(const CSRGraph& g) {
   if (!report.ok()) return report;  // sizes wrong: element checks would UB
 
   // Logical edge endpoints (canonical u <= v when undirected).
-  bool all_unit_weight = true;
   for (eid_t e = 0; e < m; ++e) {
-    const Edge& ed = edges[static_cast<std::size_t>(e)];
+    const Edge ed = edges[static_cast<std::size_t>(e)];
     ck.require(ed.u >= 0 && ed.u < n && ed.v >= 0 && ed.v < n, "edge ", e,
                " endpoints (", ed.u, ", ", ed.v, ") out of [0, ", n, ")");
     if (!g.directed())
       ck.require(ed.u <= ed.v, "undirected edge ", e, " not canonical: (",
                  ed.u, ", ", ed.v, ")");
-    all_unit_weight &= (ed.w == 1.0);
   }
-  ck.require(g.weighted() || all_unit_weight,
-             "graph reports unweighted but carries a weight != 1.0");
 
   // Per-arc: in-range targets, aligned edge ids/weights, sorted rows, and a
   // per-edge arc tally for the symmetry check (each logical edge must be
@@ -225,12 +230,13 @@ ValidationReport validate(const CSRGraph& g) {
                       " carries out-of-range edge id ", e))
         continue;
       ++arc_tally[static_cast<std::size_t>(e)];
-      const Edge& ed = edges[static_cast<std::size_t>(e)];
+      const Edge ed = edges[static_cast<std::size_t>(e)];
       ck.require((ed.u == u && ed.v == v) || (ed.u == v && ed.v == u),
                  "arc ", u, "->", v, " references edge ", e,
                  " with endpoints (", ed.u, ", ", ed.v, ")");
-      ck.require(weights[a] == ed.w, "arc ", u, "->", v, " weight ",
-                 weights[a], " != edge ", e, " weight ", ed.w);
+      ck.require(g.arc_weight(static_cast<eid_t>(a)) == ed.w, "arc ", u,
+                 "->", v, " weight ", g.arc_weight(static_cast<eid_t>(a)),
+                 " != edge ", e, " weight ", ed.w);
       if (sorted && a > lo) {
         const bool ordered = adj[a - 1] < v || (adj[a - 1] == v && ids[a - 1] <= e);
         ck.require(ordered, "row of vertex ", u,

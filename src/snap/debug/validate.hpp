@@ -56,6 +56,7 @@ struct Access {
   static const std::vector<eid_t>& offsets(const CSRGraph& g);
   static const std::vector<vid_t>& adj(const CSRGraph& g);
   static const std::vector<weight_t>& weights(const CSRGraph& g);
+  static const std::vector<weight_t>& edge_weights(const CSRGraph& g);
   static const std::vector<eid_t>& arc_edge_ids(const CSRGraph& g);
   static bool adjacency_sorted(const CSRGraph& g);
   static std::vector<vid_t>& mutable_adj(CSRGraph& g);

@@ -132,11 +132,13 @@ EdgeList prepare_edges_parallel(vid_t n, const EdgeList& input, bool directed,
 /// tiebreak makes the layout a pure function of the logical edge list —
 /// arcs arriving in any placement order land identically — which is what
 /// lets the parallel builder use unordered atomic-cursor placement and
-/// still match the serial reference byte for byte.
+/// still match the serial reference byte for byte.  `weights` is empty for
+/// an unweighted graph.
 void sort_adjacency_slices(vid_t n, const std::vector<eid_t>& offsets,
                            std::vector<vid_t>& adj,
                            std::vector<weight_t>& weights,
                            std::vector<eid_t>& arc_edge_ids) {
+  const bool weighted = !weights.empty();
   parallel::parallel_for_dynamic(n, [&](vid_t v) {
     const eid_t lo = offsets[static_cast<std::size_t>(v)];
     const eid_t hi = offsets[static_cast<std::size_t>(v) + 1];
@@ -151,17 +153,18 @@ void sort_adjacency_slices(vid_t n, const std::vector<eid_t>& offsets,
       return arc_edge_ids[sa] < arc_edge_ids[sb];
     });
     std::vector<vid_t> a2(len);
-    std::vector<weight_t> w2(len);
+    std::vector<weight_t> w2(weighted ? len : 0);
     std::vector<eid_t> id2(len);
     for (std::size_t i = 0; i < len; ++i) {
       a2[i] = adj[idx[i]];
-      w2[i] = weights[idx[i]];
+      if (weighted) w2[i] = weights[idx[i]];
       id2[i] = arc_edge_ids[idx[i]];
     }
     std::copy(a2.begin(), a2.end(),
               adj.begin() + static_cast<std::ptrdiff_t>(lo));
-    std::copy(w2.begin(), w2.end(),
-              weights.begin() + static_cast<std::ptrdiff_t>(lo));
+    if (weighted)
+      std::copy(w2.begin(), w2.end(),
+                weights.begin() + static_cast<std::ptrdiff_t>(lo));
     std::copy(id2.begin(), id2.end(),
               arc_edge_ids.begin() + static_cast<std::ptrdiff_t>(lo));
   });
@@ -178,10 +181,10 @@ CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
   CSRGraph g;
   g.n_ = n;
   g.directed_ = directed;
-  g.edge_endpoints_ = serial ? prepare_edges_serial(n, input, directed, opts)
+  const EdgeList edges = serial
+                             ? prepare_edges_serial(n, input, directed, opts)
                              : prepare_edges_parallel(n, input, directed, opts);
-  g.m_ = static_cast<eid_t>(g.edge_endpoints_.size());
-  const auto& edges = g.edge_endpoints_;
+  g.m_ = static_cast<eid_t>(edges.size());
   [[maybe_unused]] const eid_t arcs = directed ? g.m_ : 2 * g.m_;
   g.offsets_.resize(static_cast<std::size_t>(n) + 1);
 
@@ -200,21 +203,19 @@ CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
                 g.offsets_[static_cast<std::size_t>(n)], " expected ", arcs);
 
     g.adj_.resize(static_cast<std::size_t>(arcs));
-    g.weights_.resize(static_cast<std::size_t>(arcs));
+    if (g.weighted_) g.weights_.resize(static_cast<std::size_t>(arcs));
     g.arc_edge_ids_.resize(static_cast<std::size_t>(arcs));
     std::vector<eid_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+    auto place = [&](vid_t from, vid_t to, weight_t w, eid_t e) {
+      const eid_t a = cursor[static_cast<std::size_t>(from)]++;
+      g.adj_[static_cast<std::size_t>(a)] = to;
+      if (g.weighted_) g.weights_[static_cast<std::size_t>(a)] = w;
+      g.arc_edge_ids_[static_cast<std::size_t>(a)] = e;
+    };
     for (eid_t e = 0; e < g.m_; ++e) {
       const Edge& ed = edges[static_cast<std::size_t>(e)];
-      eid_t a = cursor[static_cast<std::size_t>(ed.u)]++;
-      g.adj_[static_cast<std::size_t>(a)] = ed.v;
-      g.weights_[static_cast<std::size_t>(a)] = ed.w;
-      g.arc_edge_ids_[static_cast<std::size_t>(a)] = e;
-      if (!directed) {
-        a = cursor[static_cast<std::size_t>(ed.v)]++;
-        g.adj_[static_cast<std::size_t>(a)] = ed.u;
-        g.weights_[static_cast<std::size_t>(a)] = ed.w;
-        g.arc_edge_ids_[static_cast<std::size_t>(a)] = e;
-      }
+      place(ed.u, ed.v, ed.w, e);
+      if (!directed) place(ed.v, ed.u, ed.w, e);
     }
   } else {
     // Per-thread degree histograms, with weighted-detection folded into the
@@ -258,7 +259,7 @@ CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
     // Atomic-cursor placement: arcs land in scheduling order, which the
     // (neighbor, edge id) adjacency sort below canonicalizes.
     g.adj_.resize(static_cast<std::size_t>(arcs));
-    g.weights_.resize(static_cast<std::size_t>(arcs));
+    if (g.weighted_) g.weights_.resize(static_cast<std::size_t>(arcs));
     g.arc_edge_ids_.resize(static_cast<std::size_t>(arcs));
     std::vector<std::atomic<eid_t>> cursor(static_cast<std::size_t>(n));
     parallel::parallel_for(n, [&](vid_t v) {
@@ -269,7 +270,7 @@ CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
       const eid_t a = cursor[static_cast<std::size_t>(from)].fetch_add(
           1, std::memory_order_relaxed);
       g.adj_[static_cast<std::size_t>(a)] = to;
-      g.weights_[static_cast<std::size_t>(a)] = w;
+      if (g.weighted_) g.weights_[static_cast<std::size_t>(a)] = w;
       g.arc_edge_ids_[static_cast<std::size_t>(a)] = e;
     };
     parallel::run_team(nt, [&](int t) {
@@ -287,6 +288,15 @@ CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
     sort_adjacency_slices(n, g.offsets_, g.adj_, g.weights_, g.arc_edge_ids_);
     g.sorted_ = true;
   }
+
+  // Keep the endpoints, and the weights only when some weight is not 1.0.
+  g.endpoints_.resize(edges.size());
+  if (g.weighted_) g.edge_weights_.resize(edges.size());
+  parallel::parallel_for(g.m_, [&](eid_t e) {
+    const Edge& ed = edges[static_cast<std::size_t>(e)];
+    g.endpoints_[static_cast<std::size_t>(e)] = {ed.u, ed.v};
+    if (g.weighted_) g.edge_weights_[static_cast<std::size_t>(e)] = ed.w;
+  });
   SNAP_VALIDATE(g);
   return g;
 }
@@ -294,21 +304,24 @@ CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
 CSRGraph CSRGraph::from_parts(vid_t n, eid_t m, bool directed, bool weighted,
                               bool sorted, std::vector<eid_t> offsets,
                               std::vector<vid_t> adj,
-                              std::vector<weight_t> weights,
                               std::vector<eid_t> arc_edge_ids,
-                              EdgeList edge_endpoints) {
+                              std::vector<EdgeEndpoints> endpoints,
+                              std::vector<weight_t> arc_weights,
+                              std::vector<weight_t> edge_weights) {
   SNAP_ASSERT(n >= 0 && m >= 0, "from_parts: negative n=", n, " or m=", m);
   SNAP_ASSERT(offsets.size() == static_cast<std::size_t>(n) + 1,
               "from_parts: offsets size ", offsets.size(), " != n+1 = ",
               n + 1);
   const auto arcs = static_cast<std::size_t>(directed ? m : 2 * m);
-  SNAP_ASSERT(adj.size() == arcs && weights.size() == arcs &&
-                  arc_edge_ids.size() == arcs,
+  SNAP_ASSERT(adj.size() == arcs && arc_edge_ids.size() == arcs,
               "from_parts: arc array sizes (", adj.size(), ", ",
-              weights.size(), ", ", arc_edge_ids.size(), ") != ", arcs);
-  SNAP_ASSERT(edge_endpoints.size() == static_cast<std::size_t>(m),
-              "from_parts: edge list size ", edge_endpoints.size(),
-              " != m = ", m);
+              arc_edge_ids.size(), ") != ", arcs);
+  SNAP_ASSERT(endpoints.size() == static_cast<std::size_t>(m),
+              "from_parts: edge list size ", endpoints.size(), " != m = ", m);
+  SNAP_ASSERT(arc_weights.size() == (weighted ? arcs : 0) &&
+                  edge_weights.size() == (weighted ? endpoints.size() : 0),
+              "from_parts: weight array sizes (", arc_weights.size(), ", ",
+              edge_weights.size(), ") do not match weighted=", weighted);
   SNAP_ASSERT(n == 0 || (offsets.front() == 0 &&
                          offsets.back() == static_cast<eid_t>(arcs)),
               "from_parts: offsets do not cover the adjacency");
@@ -320,9 +333,10 @@ CSRGraph CSRGraph::from_parts(vid_t n, eid_t m, bool directed, bool weighted,
   g.sorted_ = sorted;
   g.offsets_ = std::move(offsets);
   g.adj_ = std::move(adj);
-  g.weights_ = std::move(weights);
   g.arc_edge_ids_ = std::move(arc_edge_ids);
-  g.edge_endpoints_ = std::move(edge_endpoints);
+  g.endpoints_ = std::move(endpoints);
+  g.weights_ = std::move(arc_weights);
+  g.edge_weights_ = std::move(edge_weights);
   SNAP_VALIDATE(g);
   return g;
 }
@@ -339,12 +353,35 @@ eid_t CSRGraph::max_degree() const {
 }
 
 weight_t CSRGraph::total_edge_weight() const {
-  return parallel::parallel_reduce_sum<weight_t>(
-      m_, [this](eid_t e) { return edge_endpoints_[static_cast<std::size_t>(e)].w; });
+  // m unit weights sum to m exactly, in any order.
+  if (!weighted_) return static_cast<weight_t>(m_);
+  return parallel::parallel_reduce_sum<weight_t>(m_, [this](eid_t e) {
+    return edge_weights_[static_cast<std::size_t>(e)];
+  });
 }
 
 CSRGraph CSRGraph::as_undirected() const {
-  return from_edges(n_, edge_endpoints_, /*directed=*/false);
+  return from_edges(n_, edges().to_list(), /*directed=*/false);
+}
+
+std::size_t CSRGraph::byte_size() const {
+  return offsets_.size() * sizeof(eid_t) + adj_.size() * sizeof(vid_t) +
+         arc_edge_ids_.size() * sizeof(eid_t) +
+         endpoints_.size() * sizeof(EdgeEndpoints) +
+         (weights_.size() + edge_weights_.size()) * sizeof(weight_t);
+}
+
+EdgeList EdgeView::to_list() const {
+  EdgeList out(size());
+  parallel::parallel_for(size(), [&](std::size_t e) { out[e] = (*this)[e]; });
+  return out;
+}
+
+bool operator==(const EdgeView& a, const EdgeView& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t e = 0; e < a.size(); ++e)
+    if (a[e] != b[e]) return false;
+  return true;
 }
 
 }  // namespace snap

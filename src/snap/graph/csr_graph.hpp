@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "snap/debug/fwd.hpp"
@@ -17,6 +20,112 @@ struct BuildOptions {
   ExecPath path = ExecPath::kAuto;
 };
 
+/// The endpoints of one stored logical edge: the 16 bytes a CSRGraph keeps
+/// per edge.  A weighted graph keeps the edge's weight in a parallel array.
+struct EdgeEndpoints {
+  vid_t u = kInvalidVid;
+  vid_t v = kInvalidVid;
+};
+
+namespace detail {
+
+/// The one weight every arc of an unweighted graph reads.
+inline constexpr weight_t kUnitWeight = 1.0;
+
+/// Input iterator over a view whose operator[] returns by value.  It holds
+/// a copy of the view, so it stays valid after the view expression ends.
+template <typename View>
+class IndexIterator {
+ public:
+  using iterator_category = std::input_iterator_tag;
+  using value_type = decltype(std::declval<const View&>()[0]);
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = value_type;
+
+  IndexIterator() = default;
+  IndexIterator(View view, std::size_t i) : view_(view), i_(i) {}
+
+  value_type operator*() const { return view_[i_]; }
+  IndexIterator& operator++() {
+    ++i_;
+    return *this;
+  }
+  IndexIterator operator++(int) {
+    IndexIterator old = *this;
+    ++i_;
+    return old;
+  }
+  friend bool operator==(const IndexIterator& a, const IndexIterator& b) {
+    return a.i_ == b.i_;
+  }
+
+ private:
+  View view_{};
+  std::size_t i_ = 0;
+};
+
+}  // namespace detail
+
+/// Weights aligned with a run of arcs: the stored ones, or 1.0 for every
+/// arc of a graph that stores none.  Indexing has no branch: an unweighted
+/// view reads the one constant through a zero index mask.
+class WeightView {
+ public:
+  using iterator = detail::IndexIterator<WeightView>;
+  using const_iterator = iterator;
+
+  WeightView() = default;
+  /// `data` null means every weight is 1.0.
+  WeightView(const weight_t* data, std::size_t size)
+      : data_(data != nullptr ? data : &detail::kUnitWeight),
+        mask_(data != nullptr ? ~std::size_t{0} : 0),
+        size_(size) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] weight_t operator[](std::size_t i) const {
+    return data_[i & mask_];
+  }
+  [[nodiscard]] iterator begin() const { return {*this, 0}; }
+  [[nodiscard]] iterator end() const { return {*this, size_}; }
+
+ private:
+  const weight_t* data_ = &detail::kUnitWeight;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// The logical edges of a CSRGraph, read as Edge{u, v, w}: the stored
+/// endpoints with the stored weight, or 1.0 when the graph stores none.  A
+/// view, not a container: `to_list()` copies the edges out.
+class EdgeView {
+ public:
+  using iterator = detail::IndexIterator<EdgeView>;
+  using const_iterator = iterator;
+
+  EdgeView() = default;
+  EdgeView(std::span<const EdgeEndpoints> ends, WeightView weights)
+      : ends_(ends), weights_(weights) {}
+
+  [[nodiscard]] std::size_t size() const { return ends_.size(); }
+  [[nodiscard]] bool empty() const { return ends_.empty(); }
+  [[nodiscard]] Edge operator[](std::size_t e) const {
+    return {ends_[e].u, ends_[e].v, weights_[e]};
+  }
+  [[nodiscard]] iterator begin() const { return {*this, 0}; }
+  [[nodiscard]] iterator end() const { return {*this, size()}; }
+
+  /// The edges as an owned list, in edge-id order.
+  [[nodiscard]] EdgeList to_list() const;
+
+  friend bool operator==(const EdgeView& a, const EdgeView& b);
+
+ private:
+  std::span<const EdgeEndpoints> ends_;
+  WeightView weights_;
+};
+
 /// Static graph in Compressed Sparse Row form — the primary SNAP
 /// representation (§3: "cache-friendly adjacency arrays").
 ///
@@ -25,6 +134,11 @@ struct BuildOptions {
 /// carries the id of the logical edge it belongs to (`arc_edge_id`), which is
 /// what lets the divisive community algorithms (GN, pBD) mark edges deleted
 /// with an m-bit mask instead of rebuilding the graph.
+///
+/// An unweighted graph stores topology only: offsets, targets, arc edge ids
+/// and {u, v} edge endpoints, 24 bytes per undirected arc.  Per-arc and
+/// per-edge weights are stored only when `weighted()`; `weights(v)`,
+/// `edges()` and the other weight readers yield 1.0 for a graph without them.
 class CSRGraph {
  public:
   CSRGraph() = default;
@@ -44,19 +158,21 @@ class CSRGraph {
 
   /// Adopt prebuilt CSR arrays without any normalization, dedupe, or sort —
   /// the O(read) path behind the binary snapshot cache (io::binary_io) and
-  /// the direct relabeling transforms.  The caller asserts the arrays are a
-  /// valid CSR image exactly as `from_edges` would have produced one:
-  /// offsets of size n+1 covering adj/weights/arc_edge_ids, canonical
-  /// undirected endpoints (u <= v), arc symmetry, and — when `sorted` —
-  /// rows ordered by (neighbor, edge id).  Cheap size invariants are
-  /// asserted always; the full O(n+m) structural validator runs at
+  /// DynamicGraph::to_csr.  The caller asserts the arrays are a valid CSR
+  /// image exactly as `from_edges` would have produced one: offsets of size
+  /// n+1 covering adj/arc_edge_ids, canonical undirected endpoints
+  /// (u <= v), arc symmetry, and — when `sorted` — rows ordered by
+  /// (neighbor, edge id).  A weighted graph passes per-arc and per-edge
+  /// weights; an unweighted one passes both empty.  Cheap size invariants
+  /// are asserted always; the full O(n+m) structural validator runs at
   /// SNAP_CHECK_LEVEL=2.
   static CSRGraph from_parts(vid_t n, eid_t m, bool directed, bool weighted,
                              bool sorted, std::vector<eid_t> offsets,
                              std::vector<vid_t> adj,
-                             std::vector<weight_t> weights,
                              std::vector<eid_t> arc_edge_ids,
-                             EdgeList edge_endpoints);
+                             std::vector<EdgeEndpoints> endpoints,
+                             std::vector<weight_t> arc_weights = {},
+                             std::vector<weight_t> edge_weights = {});
 
   [[nodiscard]] vid_t num_vertices() const { return n_; }
   [[nodiscard]] eid_t num_edges() const { return m_; }
@@ -85,8 +201,8 @@ class CSRGraph {
   }
 
   /// Weights aligned with neighbors(v).  All 1.0 for unweighted graphs.
-  [[nodiscard]] std::span<const weight_t> weights(vid_t v) const {
-    return {weights_.data() + offsets_[v],
+  [[nodiscard]] WeightView weights(vid_t v) const {
+    return {weighted_ ? weights_.data() + offsets_[v] : nullptr,
             static_cast<std::size_t>(degree(v))};
   }
 
@@ -101,11 +217,13 @@ class CSRGraph {
   [[nodiscard]] eid_t arc_begin(vid_t v) const { return offsets_[v]; }
   [[nodiscard]] eid_t arc_end(vid_t v) const { return offsets_[v + 1]; }
   [[nodiscard]] vid_t arc_target(eid_t a) const { return adj_[a]; }
-  [[nodiscard]] weight_t arc_weight(eid_t a) const { return weights_[a]; }
+  [[nodiscard]] weight_t arc_weight(eid_t a) const {
+    return weighted_ ? weights_[a] : 1.0;
+  }
   [[nodiscard]] eid_t arc_edge_id(eid_t a) const { return arc_edge_ids_[a]; }
 
-  /// Endpoints of logical edge e (u < v for undirected graphs).
-  [[nodiscard]] Edge edge(eid_t e) const { return edge_endpoints_[e]; }
+  /// Logical edge e (u <= v for undirected graphs) with its weight.
+  [[nodiscard]] Edge edge(eid_t e) const { return edges()[e]; }
 
   /// True if u has v in its adjacency (binary search when sorted).
   [[nodiscard]] bool has_edge(vid_t u, vid_t v) const;
@@ -119,8 +237,12 @@ class CSRGraph {
   /// edge directivity in the community detection algorithms".
   [[nodiscard]] CSRGraph as_undirected() const;
 
-  /// All logical edges (endpoints + weight).
-  [[nodiscard]] const EdgeList& edges() const { return edge_endpoints_; }
+  /// All logical edges (endpoints + weight), in edge-id order.
+  [[nodiscard]] EdgeView edges() const {
+    return {endpoints_,
+            WeightView(weighted_ ? edge_weights_.data() : nullptr,
+                       endpoints_.size())};
+  }
 
   /// Read-only views of the flat CSR arrays, for consumers that stream the
   /// whole image (binary snapshots, the compressed/partitioned
@@ -129,14 +251,23 @@ class CSRGraph {
     return offsets_;
   }
   [[nodiscard]] std::span<const vid_t> adjacency() const { return adj_; }
+  /// Per-arc weights; empty for an unweighted graph.
   [[nodiscard]] std::span<const weight_t> arc_weights() const {
     return weights_;
   }
   [[nodiscard]] std::span<const eid_t> arc_edge_id_array() const {
     return arc_edge_ids_;
   }
+  /// Stored endpoints of the logical edges, in edge-id order.
+  [[nodiscard]] std::span<const EdgeEndpoints> endpoints() const {
+    return endpoints_;
+  }
   /// True if every row is sorted by (neighbor, edge id).
   [[nodiscard]] bool adjacency_sorted() const { return sorted_; }
+
+  /// Bytes of the stored arrays: 8(n + 1) + 16 per arc + 16 per edge, plus
+  /// 8 per arc and 8 per edge when weighted.
+  [[nodiscard]] std::size_t byte_size() const;
 
  private:
   // Validators (and their mutation tests) read the raw arrays directly.
@@ -147,11 +278,13 @@ class CSRGraph {
   bool directed_ = false;
   bool weighted_ = false;
   bool sorted_ = false;
-  std::vector<eid_t> offsets_;        // n+1
-  std::vector<vid_t> adj_;            // arcs
-  std::vector<weight_t> weights_;     // per arc
-  std::vector<eid_t> arc_edge_ids_;   // per arc -> logical edge id
-  EdgeList edge_endpoints_;           // per logical edge
+  std::vector<eid_t> offsets_;            // n+1
+  std::vector<vid_t> adj_;                // arcs
+  std::vector<eid_t> arc_edge_ids_;       // per arc -> logical edge id
+  std::vector<EdgeEndpoints> endpoints_;  // per logical edge
+  // Weighted graphs only; both empty otherwise.
+  std::vector<weight_t> weights_;         // per arc
+  std::vector<weight_t> edge_weights_;    // per logical edge
 };
 
 }  // namespace snap

@@ -122,7 +122,7 @@ CSRGraph DynamicGraph::to_csr() const {
   // undirected self loop's twin arc shares its edge id.
   std::vector<vid_t> adj(arcs);
   std::vector<eid_t> ids(arcs);
-  EdgeList edges(static_cast<std::size_t>(m));
+  std::vector<EdgeEndpoints> ends(static_cast<std::size_t>(m));
   parallel::parallel_for_dynamic(n, [&](vid_t u) {
     const auto row = adj.begin() + off[u];
     const auto end = adj.begin() + off[u + 1];
@@ -142,7 +142,7 @@ CSRGraph DynamicGraph::to_csr() const {
         continue;
       }
       ids[a] = e;
-      edges[e++] = {u, adj[a], 1.0};
+      ends[e++] = {u, adj[a]};
     }
     SNAP_DCHECK(e == first_edge[u + 1], "row ", u, " numbered ",
                 e - first_edge[u], " owned arcs, pass 1 counted ",
@@ -164,10 +164,11 @@ CSRGraph DynamicGraph::to_csr() const {
     });
   }
 
-  CSRGraph g = CSRGraph::from_parts(
-      n, m, directed_, /*weighted=*/false, /*sorted=*/true, std::move(off),
-      std::move(adj), std::vector<weight_t>(arcs, 1.0), std::move(ids),
-      std::move(edges));
+  // Unweighted: the image is these four arrays and nothing else.
+  CSRGraph g = CSRGraph::from_parts(n, m, directed_, /*weighted=*/false,
+                                    /*sorted=*/true, std::move(off),
+                                    std::move(adj), std::move(ids),
+                                    std::move(ends));
   SNAP_DCHECK(g.num_edges() == m_, "to_csr emitted ", g.num_edges(),
               " edges but the dynamic graph tracks ", m_);
   return g;

@@ -69,8 +69,9 @@ class DynamicGraph {
   /// Snapshot to the static CSR representation: the image
   /// CSRGraph::from_edges builds from this graph's edges (self loops kept),
   /// byte for byte, filled straight from the sorted rows in three parallel
-  /// passes (count, copy + number owned arcs, mirror ids).  Identical at
-  /// every thread count.
+  /// passes (count, copy + number owned arcs, mirror ids).  Unweighted, so
+  /// it holds offsets, targets, arc edge ids and edge endpoints only: 24
+  /// bytes per undirected arc.  Identical at every thread count.
   [[nodiscard]] CSRGraph to_csr() const;
 
   /// Load all edges of a CSR graph (must share directedness).

@@ -70,10 +70,10 @@ ReorderedGraph relabel(const CSRGraph& g,
   // Permutation apply: map every logical edge's endpoints — embarrassingly
   // parallel.  The CSR rebuild runs with dedupe/self-loop-removal off so
   // the edge multiset (and every logical edge id) survives verbatim.
-  EdgeList edges(g.edges().size());
-  const EdgeList& src = g.edges();
+  const EdgeView src = g.edges();
+  EdgeList edges(src.size());
   parallel::parallel_for(src.size(), [&](std::size_t e) {
-    const Edge& in = src[e];
+    const Edge in = src[e];
     edges[e] = Edge{r.old_to_new[static_cast<std::size_t>(in.u)],
                     r.old_to_new[static_cast<std::size_t>(in.v)], in.w};
   });

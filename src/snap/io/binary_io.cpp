@@ -29,6 +29,8 @@ struct RawEdge {
   double w;
 };
 static_assert(sizeof(RawEdge) == 24);
+// An unweighted payload's edge records are read into EdgeEndpoints as is.
+static_assert(sizeof(EdgeEndpoints) == 2 * sizeof(std::int64_t));
 
 // Flag bits of HeaderV2::flags.
 constexpr std::uint32_t kFlagDirected = 1u << 0;
@@ -143,11 +145,15 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
   const auto m = static_cast<std::size_t>(h.m);
   const std::size_t arcs = directed ? m : 2 * m;
 
+  // Each array is read straight into the one the graph adopts; only a
+  // weighted graph's 24-byte edge records are split into endpoints and
+  // weights on the way in.
   std::vector<eid_t> offsets(n + 1);
   std::vector<vid_t> adj(arcs);
   std::vector<eid_t> arc_edge_ids(arcs);
+  std::vector<EdgeEndpoints> ends(m);
   std::vector<weight_t> weights;
-  EdgeList edges(m);
+  std::vector<weight_t> edge_weights;
 
   Fnv1a sum;
   auto consume = [&](void* data, std::size_t len) {
@@ -163,14 +169,13 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
     consume(weights.data(), weights.size() * sizeof(weight_t));
     std::vector<RawEdge> raw(m);
     consume(raw.data(), raw.size() * sizeof(RawEdge));
-    for (std::size_t e = 0; e < m; ++e)
-      edges[e] = Edge{raw[e].u, raw[e].v, raw[e].w};
+    edge_weights.resize(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      ends[e] = {raw[e].u, raw[e].v};
+      edge_weights[e] = raw[e].w;
+    }
   } else {
-    weights.assign(arcs, 1.0);
-    std::vector<std::int64_t> raw(2 * m);
-    consume(raw.data(), raw.size() * sizeof(std::int64_t));
-    for (std::size_t e = 0; e < m; ++e)
-      edges[e] = Edge{raw[2 * e], raw[2 * e + 1], 1.0};
+    consume(ends.data(), ends.size() * sizeof(EdgeEndpoints));
   }
   if (sum.hash() != h.checksum)
     fail("FNV-1a checksum mismatch (file corrupt)", path);
@@ -190,15 +195,15 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
   if (std::any_of(arc_edge_ids.begin(), arc_edge_ids.end(),
                   [&](eid_t e) { return outside(e, h.m); }))
     fail("arc edge id array holds an id outside [0, m)", path);
-  if (std::any_of(edges.begin(), edges.end(), [&](const Edge& e) {
+  if (std::any_of(ends.begin(), ends.end(), [&](const EdgeEndpoints& e) {
         return outside(e.u, h.n) || outside(e.v, h.n);
       }))
     fail("edge array holds an endpoint outside [0, n)", path);
 
   return CSRGraph::from_parts(h.n, h.m, directed, weighted, sorted,
                               std::move(offsets), std::move(adj),
-                              std::move(weights), std::move(arc_edge_ids),
-                              std::move(edges));
+                              std::move(arc_edge_ids), std::move(ends),
+                              std::move(weights), std::move(edge_weights));
 }
 
 }  // namespace
@@ -211,22 +216,17 @@ void write_binary(const CSRGraph& g, const std::string& path) {
   const auto adj = g.adjacency();
   const auto ids = g.arc_edge_id_array();
   const auto weights = g.arc_weights();
-  const auto& edges = g.edges();
+  const auto ends = g.endpoints();
   const auto m = static_cast<std::size_t>(g.num_edges());
 
-  // Flatten the logical edge list once; it doubles as checksum input.
+  // An unweighted graph's endpoints are the payload's {u, v} records as
+  // stored; a weighted graph's edges are flattened into 24-byte records.
   std::vector<RawEdge> raw_weighted;
-  std::vector<std::int64_t> raw_unweighted;
   if (g.weighted()) {
+    const auto edges = g.edges();
     raw_weighted.resize(m);
     for (std::size_t e = 0; e < m; ++e)
       raw_weighted[e] = RawEdge{edges[e].u, edges[e].v, edges[e].w};
-  } else {
-    raw_unweighted.resize(2 * m);
-    for (std::size_t e = 0; e < m; ++e) {
-      raw_unweighted[2 * e] = edges[e].u;
-      raw_unweighted[2 * e + 1] = edges[e].v;
-    }
   }
 
   Fnv1a sum;
@@ -242,8 +242,7 @@ void write_binary(const CSRGraph& g, const std::string& path) {
     tally(weights.data(), weights.size() * sizeof(weight_t));
     tally(raw_weighted.data(), raw_weighted.size() * sizeof(RawEdge));
   } else {
-    tally(raw_unweighted.data(),
-          raw_unweighted.size() * sizeof(std::int64_t));
+    tally(ends.data(), ends.size_bytes());
   }
 
   HeaderV2 h{};
@@ -266,8 +265,7 @@ void write_binary(const CSRGraph& g, const std::string& path) {
     write_all(out, raw_weighted.data(),
               raw_weighted.size() * sizeof(RawEdge));
   } else {
-    write_all(out, raw_unweighted.data(),
-              raw_unweighted.size() * sizeof(std::int64_t));
+    write_all(out, ends.data(), ends.size_bytes());
   }
   if (!out) fail("write failed", path);
 }

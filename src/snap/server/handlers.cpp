@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "snap/centrality/betweenness.hpp"
@@ -285,7 +286,7 @@ HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
   std::uint64_t epoch = 0;
   {
     sync::MutexLock lk(write_mu_);
-    stats = sg_.apply(batch);
+    stats = sg_.apply(std::move(batch));
     epoch = sg_.epoch();
   }
   Value out = Value::object();

@@ -6,10 +6,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "snap/util/json.hpp"
 
@@ -102,12 +104,34 @@ struct ConnReader {
   int fd;
   std::string buffered;
 
-  /// Pull more bytes; false on EOF/error.
-  bool fill() {
+  /// Pull up to `max_bytes` more bytes; false on EOF/error.
+  bool fill(std::size_t max_bytes = 8192) {
     char chunk[8192];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    const ssize_t n =
+        ::recv(fd, chunk, std::min(sizeof chunk, max_bytes), 0);
     if (n <= 0) return false;
     buffered.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  }
+
+  /// Take the next `length` bytes as a message body, held once: the buffer
+  /// is reserved to the body's size, never reads past it, and is moved out
+  /// whole when it holds exactly the body.  Only a body that arrived with
+  /// pipelined bytes behind it is copied out, and those bytes stay
+  /// buffered.  False if the peer closes first.
+  bool take_body(std::size_t length, std::string* body) {
+    if (buffered.size() < length) {
+      buffered.reserve(length);
+      while (buffered.size() < length)
+        if (!fill(length - buffered.size())) return false;
+    }
+    if (buffered.size() == length) {
+      *body = std::move(buffered);
+      buffered = std::string();
+    } else {
+      body->assign(buffered, 0, length);
+      buffered.erase(0, length);
+    }
     return true;
   }
 };
@@ -173,10 +197,8 @@ ReadOutcome read_request(ConnReader* rd, HttpRequest* req,
                                       : connection == "keep-alive";
 
   // 4. Body.
-  while (rd->buffered.size() < content_length)
-    if (!rd->fill()) return ReadOutcome::kMalformed;
-  req->body = rd->buffered.substr(0, content_length);
-  rd->buffered.erase(0, content_length);
+  if (!rd->take_body(content_length, &req->body))
+    return ReadOutcome::kMalformed;
 
   // 5. Split target into decoded path + query pairs.
   const std::size_t qmark = target.find('?');
@@ -450,15 +472,11 @@ HttpResult HttpClient::request(const std::string& method,
     }
   }
   if (have_length) {
-    while (rd.buffered.size() < content_length) {
-      if (!rd.fill()) {
-        res.error = "connection closed mid-body";
-        close();
-        return res;
-      }
+    if (!rd.take_body(content_length, &res.body)) {
+      res.error = "connection closed mid-body";
+      close();
+      return res;
     }
-    res.body = rd.buffered.substr(0, content_length);
-    rd.buffered.erase(0, content_length);
   } else {
     // No length: body runs to EOF (and the connection is done).
     while (rd.fill()) {

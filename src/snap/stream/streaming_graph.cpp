@@ -1,5 +1,6 @@
 #include "snap/stream/streaming_graph.hpp"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -35,11 +36,13 @@ void StreamingGraph::add_observer(StreamObserver* obs) {
   if (obs) observers_.push_back(obs);
 }
 
-ApplyStats StreamingGraph::apply(const UpdateBatch& batch) {
-  // The canonical batch is a temporary of this full expression and the
-  // AppliedBatch a local of apply_canonical, so both are freed before the
-  // eager publish allocates the new snapshot.
-  const ApplyStats st = apply_canonical(batch.canonicalize(graph_.directed()));
+ApplyStats StreamingGraph::apply(UpdateBatch batch) {
+  // The records are freed as soon as the arcs exist, and the arcs (owned by
+  // apply_canonical's parameter) before the eager publish allocates the new
+  // snapshot.
+  CanonicalBatch cb = batch.canonicalize(graph_.directed());
+  batch = UpdateBatch();
+  const ApplyStats st = apply_canonical(std::move(cb));
 
   // Eager mode: materialize and publish this epoch's snapshot before apply
   // returns, on the writer thread.  Readers pinning concurrently keep
@@ -49,12 +52,12 @@ ApplyStats StreamingGraph::apply(const UpdateBatch& batch) {
   return st;
 }
 
-ApplyStats StreamingGraph::apply_serial(const UpdateBatch& batch) {
+ApplyStats StreamingGraph::apply_serial(UpdateBatch batch) {
   parallel::ThreadScope scope(1);
-  return apply(batch);
+  return apply(std::move(batch));
 }
 
-ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
+ApplyStats StreamingGraph::apply_canonical(CanonicalBatch cb) {
   ApplyStats st;
   st.raw_records = cb.raw_records;
   st.canonical_arcs = cb.arcs.size();
@@ -83,7 +86,17 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
     // Apply.  insert_arc/delete_arc report whether the arc actually changed
     // state; within a group arcs are applied in (nbr, seq) order, so flat
     // array contents, promotion points and treap shapes are all deterministic.
+    //
+    // Effective logical edge changes: for undirected graphs the two arcs of
+    // an edge are always both effective or both not (the adjacency mirror
+    // invariant plus symmetric canonicalization), so the owner <= nbr arc
+    // stands for the edge.  Each group tallies its own, so counting them
+    // costs no extra pass and no team of its own.
+    const auto stands_for_edge = [&](const ArcUpdate& a) {
+      return directed || a.owner <= a.nbr;
+    };
     std::vector<std::uint8_t> eff(na, 0);
+    std::vector<std::array<std::size_t, 2>> tally(ngroups);  // insert, delete
     parallel::parallel_for_dynamic(
         ngroups,
         [&](std::size_t g) {
@@ -91,37 +104,37 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
           const std::size_t hi = group_begin[g + 1];
           for (std::size_t i = lo; i < hi; ++i) {
             const ArcUpdate& a = arcs[i];
-            eff[i] = a.kind == UpdateKind::kInsert
-                         ? graph_.insert_arc(a.owner, a.nbr)
-                         : graph_.delete_arc(a.owner, a.nbr);
+            const bool insert = a.kind == UpdateKind::kInsert;
+            eff[i] = insert ? graph_.insert_arc(a.owner, a.nbr)
+                            : graph_.delete_arc(a.owner, a.nbr);
+            if (eff[i] && stands_for_edge(a)) ++tally[g][insert ? 0 : 1];
           }
         },
         /*chunk=*/8);
+    for (const auto& [inserts, deletes] : tally) {
+      st.applied_inserts += inserts;
+      st.applied_deletes += deletes;
+    }
 
-    // Effective logical edge changes: for undirected graphs the two arcs of
-    // an edge are always both effective or both not (the adjacency mirror
-    // invariant plus symmetric canonicalization), so the owner <= nbr arc
-    // stands for the edge.  Compaction keeps the sorted (u, v) order.
-    const auto effective = [&](UpdateKind kind) {
-      return [&, kind](std::size_t i) {
-        const ArcUpdate& a = arcs[i];
-        return eff[i] && a.kind == kind && (directed || a.owner <= a.nbr);
+    // The change lists exist only for observers.  Compaction keeps the
+    // sorted (u, v) order.
+    if (!observers_.empty()) {
+      const auto effective = [&](UpdateKind kind) {
+        return [&, kind](std::size_t i) {
+          return eff[i] && arcs[i].kind == kind && stands_for_edge(arcs[i]);
+        };
       };
-    };
-    const auto endpoints = [&](std::size_t i) {
-      return std::pair{arcs[i].owner, arcs[i].nbr};
-    };
-    ab.inserted = parallel::parallel_pack<std::pair<vid_t, vid_t>>(
-        na, effective(UpdateKind::kInsert), endpoints);
-    ab.deleted = parallel::parallel_pack<std::pair<vid_t, vid_t>>(
-        na, effective(UpdateKind::kDelete), endpoints);
-
-    graph_.m_ += static_cast<eid_t>(ab.inserted.size()) -
-                 static_cast<eid_t>(ab.deleted.size());
+      const auto endpoints = [&](std::size_t i) {
+        return std::pair{arcs[i].owner, arcs[i].nbr};
+      };
+      ab.inserted = parallel::parallel_pack<std::pair<vid_t, vid_t>>(
+          na, effective(UpdateKind::kInsert), endpoints);
+      ab.deleted = parallel::parallel_pack<std::pair<vid_t, vid_t>>(
+          na, effective(UpdateKind::kDelete), endpoints);
+    }
+    graph_.m_ += static_cast<eid_t>(st.applied_inserts) -
+                 static_cast<eid_t>(st.applied_deletes);
   }
-
-  st.applied_inserts = ab.inserted.size();
-  st.applied_deletes = ab.deleted.size();
 
   // Post-batch structural check runs before observers see the new state, so
   // a corrupted graph is caught at the batch that broke it, not downstream.

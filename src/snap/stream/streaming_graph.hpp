@@ -19,7 +19,8 @@ namespace snap::stream {
 /// undirected graphs), sorted ascending, each edge at most once, and
 /// `inserted` and `deleted` are disjoint — the last-writer-wins
 /// canonicalization guarantees at most one surviving update per edge.
-/// `graph` points at the post-batch state.
+/// `graph` points at the post-batch state.  The lists exist only for
+/// observers: a StreamingGraph with none registered builds neither.
 struct AppliedBatch {
   std::uint64_t epoch = 0;
   vid_t num_vertices = 0;
@@ -89,7 +90,10 @@ using SnapshotHandle = std::shared_ptr<const EpochSnapshot>;
 /// adjacency is touched by exactly one thread, so there are no locks and the
 /// post-batch graph — including internal flat-array order and treap
 /// promotions — is byte-identical at any thread count, and equal to serial
-/// one-edge-at-a-time application of the raw record sequence.
+/// one-edge-at-a-time application of the raw record sequence.  apply()
+/// consumes its batch and frees each stage's buffer once the next exists:
+/// the records once canonicalized, the arcs once applied, both before an
+/// eager publish allocates the new snapshot.
 class StreamingGraph {
  public:
   explicit StreamingGraph(vid_t n = 0, bool directed = false,
@@ -107,12 +111,14 @@ class StreamingGraph {
   /// at least every subsequent apply()).
   void add_observer(StreamObserver* obs);
 
-  /// Apply a batch in parallel; returns what actually changed.
-  ApplyStats apply(const UpdateBatch& batch);
+  /// Apply a batch in parallel; returns what actually changed.  Takes the
+  /// batch by value and frees its records as soon as they are
+  /// canonicalized: move a batch in to hold its records only once.
+  ApplyStats apply(UpdateBatch batch);
 
   /// Same semantics on one thread (the benchable serial reference; also what
   /// apply() degrades to under parallel::set_num_threads(1)).
-  ApplyStats apply_serial(const UpdateBatch& batch);
+  ApplyStats apply_serial(UpdateBatch batch);
 
   /// Pin the current epoch snapshot.  The returned handle keeps that CSR
   /// image alive and immutable until the handle (and every copy) is
@@ -159,7 +165,8 @@ class StreamingGraph {
   // Validators read the published-snapshot epoch.
   friend struct debug::Access;
 
-  ApplyStats apply_canonical(const CanonicalBatch& cb);
+  /// Takes the arcs by value, so they are freed when it returns.
+  ApplyStats apply_canonical(CanonicalBatch cb);
 
   /// Build the current epoch's CSR and swap it in as the published
   /// snapshot.  Reads graph_, so only the writer (or a quiescent caller)

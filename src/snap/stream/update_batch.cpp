@@ -1,6 +1,7 @@
 #include "snap/stream/update_batch.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <tuple>
 
@@ -32,6 +33,9 @@ CanonicalBatch UpdateBatch::canonicalize(bool directed) const {
   out.raw_records = records_.size();
   const std::size_t nr = records_.size();
   if (nr == 0) return out;
+  if (nr >= std::size_t{1} << 32)
+    throw std::length_error(
+        "UpdateBatch::canonicalize: 2^32 or more records in one batch");
 
   out.max_vid = parallel::parallel_reduce_max<vid_t>(
       nr,
@@ -45,7 +49,7 @@ CanonicalBatch UpdateBatch::canonicalize(bool directed) const {
   // batch) runs on one thread.
   const auto emit = [&](std::size_t i, auto&& put) {
     const UpdateRecord& r = records_[i];
-    const auto seq = static_cast<eid_t>(i);
+    const auto seq = static_cast<std::uint32_t>(i);
     put(ArcUpdate{r.u, r.v, seq, r.kind});
     if (!directed && r.u != r.v) put(ArcUpdate{r.v, r.u, seq, r.kind});
   };

@@ -22,12 +22,14 @@ struct UpdateRecord {
   friend bool operator==(const UpdateRecord&, const UpdateRecord&) = default;
 };
 
-/// One arc-level update after canonicalization.  `owner` is the vertex whose
-/// adjacency the update lands in; undirected updates expand to two arcs.
+/// One arc-level update after canonicalization: 24 bytes.  `owner` is the
+/// vertex whose adjacency the update lands in; undirected updates expand to
+/// two arcs.
 struct ArcUpdate {
   vid_t owner = kInvalidVid;
   vid_t nbr = kInvalidVid;
-  eid_t seq = 0;  ///< arrival index within the batch (last-writer-wins key)
+  /// Arrival index within the batch (the last-writer-wins key).
+  std::uint32_t seq = 0;
   UpdateKind kind = UpdateKind::kInsert;
 };
 
@@ -65,7 +67,9 @@ class UpdateBatch {
   /// one output array, bucketed on (owner, nbr); each bucket is sorted by
   /// (owner, nbr, seq) and keeps the last writer of every arc in place, and
   /// the kept slices are closed up.  The result is a pure function of the
-  /// record sequence, so it is identical at every thread count.
+  /// record sequence, so it is identical at every thread count.  Throws
+  /// std::length_error for a batch of 2^32 or more records, whose arrival
+  /// index would not fit ArcUpdate::seq.
   [[nodiscard]] CanonicalBatch canonicalize(bool directed) const;
 
  private:

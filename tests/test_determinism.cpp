@@ -70,7 +70,7 @@ TEST(Determinism, ParallelCsrBuild) {
   // forced explicitly so the test exercises the parallel pipeline even if
   // the cutoff moves.
   const CSRGraph src = rmat_graph(17, 6, 99);
-  const EdgeList& edges = src.edges();
+  const EdgeList edges = src.edges().to_list();
   BuildOptions opts;
   opts.path = ExecPath::kParallel;
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {

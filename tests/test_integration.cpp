@@ -48,7 +48,7 @@ TEST(Pipeline, PreprocessingDecomposesThenAnalyzesConcurrently) {
   std::vector<vid_t> t1, t2;
   const auto g1 = gen::planted_partition(200, 2, 10.0, 1.0, 1, &t1);
   const auto g2 = gen::planted_partition(150, 3, 10.0, 1.0, 2, &t2);
-  EdgeList all = g1.edges();
+  EdgeList all = g1.edges().to_list();
   for (Edge e : g2.edges()) {
     e.u += 200;
     e.v += 200;

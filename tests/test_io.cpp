@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -309,6 +310,54 @@ TEST_F(IoTest, BinaryV2PreservesWeightsAndEdgeIds) {
     EXPECT_EQ(back.edges()[e].u, g.edges()[e].u);
     EXPECT_EQ(back.edges()[e].v, g.edges()[e].v);
     EXPECT_DOUBLE_EQ(back.edges()[e].w, g.edges()[e].w);
+  }
+}
+
+std::string file_bytes(const std::string& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The SNAPB2 bytes of two fixed graphs are committed here: the reader and
+// the writer may change how a graph is held in memory, never what its file
+// says.  A file read back and written again is the same file.
+TEST_F(IoTest, BinaryV2FormatIsPinned) {
+  const CSRGraph unweighted = gen::karate_club();
+  EdgeList edges;
+  for (const Edge& e : unweighted.edges()) edges.push_back(e);
+  for (std::size_t e = 0; e < edges.size(); ++e)
+    edges[e].w = 0.5 * static_cast<double>(1 + e % 4);
+  const CSRGraph weighted = CSRGraph::from_edges(34, edges, false);
+  ASSERT_FALSE(unweighted.weighted());
+  ASSERT_TRUE(weighted.weighted());
+
+  struct Pinned {
+    const CSRGraph* graph;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  // 48-byte header; offsets, targets and arc ids (35 + 2 x 156 words);
+  // 78 {u, v} records, or per-arc weights and 78 {u, v, w} records.
+  const Pinned pins[] = {{&unweighted, 4072, 0xdf08dd1ad96f200dULL},
+                         {&weighted, 5944, 0xb30ff0a3665016cbULL}};
+  for (const Pinned& pin : pins) {
+    const auto p = track(path("pinned.bin"));
+    io::write_binary(*pin.graph, p);
+    const std::string bytes = file_bytes(p);
+    EXPECT_EQ(bytes.size(), pin.size);
+    EXPECT_EQ(fnv1a(bytes), pin.digest);
+    const auto again = track(path("pinned_again.bin"));
+    io::write_binary(io::read_binary(p), again);
+    EXPECT_EQ(file_bytes(again), bytes) << "weighted=" << pin.graph->weighted();
   }
 }
 
