@@ -176,6 +176,23 @@ class JsonReport {
     push(std::move(rec), params);
   }
 
+  /// A timing repeated `samples.size()` times: `seconds` is the median, and
+  /// `min_s` / `max_s` give the spread.
+  void record_reps(const std::string& dataset, const Params& params,
+                   int threads, const std::string& phase,
+                   std::vector<double> samples, double work = 0.0) {
+    if (path_.empty() || samples.empty()) return;
+    std::sort(samples.begin(), samples.end());
+    const double median = samples[samples.size() / 2];
+    snap::json::Value rec = head(dataset, threads, phase);
+    rec.set("seconds", median);
+    if (work > 0 && median > 0) rec.set("throughput", work / median);
+    rec.set("reps", static_cast<std::int64_t>(samples.size()));
+    rec.set("min_s", samples.front());
+    rec.set("max_s", samples.back());
+    push(std::move(rec), params);
+  }
+
   /// A record of an exact count instead of a time: no `seconds`, so it is
   /// never time-gated, and any change to `count` fails the comparison.
   void record_count(const std::string& dataset, const Params& params,

@@ -12,15 +12,24 @@
 //   replay_4r    : same, with 4 reader threads hammering cheap queries
 //                  over keep-alive connections.
 //   qps_4r       : the reader-side throughput during replay_4r.
+//   preload:*    : one body holding every edge, in the shape `snap-cli serve
+//                  --in` renders, handled by a fresh service — serial (one
+//                  thread) and parallel (every thread); decode:* times
+//                  server::decode_ingest alone on the same body, and
+//                  preload_records counts its records (an exact gate).
+//   decode_sweep : decode_ingest on flat bodies of 64 KiB to 16 MiB at 1 and
+//                  4 threads — the data behind kParallelDecodeCutoff.
 //
 // The acceptance headline: replay_4r ingest stays within 2x of replay_0r —
 // readers answer from pinned snapshots and must not block the writer.
 // Correctness is asserted, not assumed: after each replay the service's
 // /stats edge count must equal the direct-apply reference graph's.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +43,7 @@
 #include "snap/stream/streaming_graph.hpp"
 #include "snap/stream/update_batch.hpp"
 #include "snap/util/json.hpp"
+#include "snap/util/parallel.hpp"
 #include "snap/util/rng.hpp"
 #include "snap/util/timer.hpp"
 
@@ -196,6 +206,144 @@ double eps(std::size_t edges, double seconds) {
   return seconds > 0 ? static_cast<double>(edges) / seconds : 0.0;
 }
 
+/// The body `snap-cli serve --in` renders for `g`: every logical edge once,
+/// in CSR order, with no time.
+std::string preload_body(const CSRGraph& g) {
+  std::string body = "{\"updates\":[";
+  const char* sep = "";
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    for (const vid_t u : g.neighbors(v)) {
+      if (!g.directed() && u > v) continue;
+      body += sep;
+      body += "{\"op\":\"insert\",\"u\":" + std::to_string(v) +
+              ",\"v\":" + std::to_string(u) + "}";
+      sep = ",";
+    }
+  }
+  return body + "]}";
+}
+
+constexpr int kReps = 5;
+
+/// `kReps` timings of `run()`, each after `prepare()` (untimed).
+template <typename Prepare, typename Run>
+std::vector<double> time_reps(Prepare&& prepare, Run&& run) {
+  std::vector<double> s;
+  for (int r = 0; r < kReps; ++r) {
+    prepare();
+    snap::WallTimer timer;
+    run();
+    s.push_back(timer.elapsed_s());
+  }
+  return s;
+}
+
+double median(std::vector<double> s) {
+  std::sort(s.begin(), s.end());
+  return s[s.size() / 2];
+}
+
+/// Decode `body` kReps times; exits on a rejected body.
+std::vector<double> time_decode(const std::string& body) {
+  snap::stream::UpdateBatch batch;
+  std::string err;
+  return time_reps([&batch] { batch = snap::stream::UpdateBatch(); },
+                   [&] {
+                     if (!snap::server::decode_ingest(body, &batch, &err)) {
+                       std::fprintf(stderr, "bench_service: decode: %s\n",
+                                    err.c_str());
+                       std::exit(1);
+                     }
+                   });
+}
+
+/// The preload phases (see the header comment); returns the record count.
+std::size_t run_preload(const std::string& dataset, const CSRGraph& base,
+                        JsonReport* report) {
+  snap::server::HttpRequest request;
+  request.method = "POST";
+  request.path = "/ingest";
+  const std::string body = preload_body(base);
+  std::size_t records = 0;
+  const auto report_reps = [&](const char* phase, int threads,
+                               const std::vector<double>& s) {
+    std::printf("%-22s %9.3fs %14.0f edges/s  (t=%d, %.3f-%.3fs)\n", phase,
+                median(s), eps(records, median(s)), threads,
+                *std::min_element(s.begin(), s.end()),
+                *std::max_element(s.begin(), s.end()));
+    report->record_reps(dataset, {{"body_bytes", std::to_string(body.size())}},
+                        threads, phase, s, static_cast<double>(records));
+  };
+  const auto preload = [&](const char* phase, int threads) {
+    snap::parallel::ThreadScope scope(threads);
+    std::unique_ptr<GraphService> service;
+    report_reps(
+        phase, threads,
+        time_reps(
+            [&] {
+              service.reset();
+              service = std::make_unique<GraphService>(base.num_vertices());
+              request.body = body;
+            },
+            [&] {
+              const snap::server::HttpResponse resp = service->handle(request);
+              snap::json::Value doc;
+              if (resp.status != 200 ||
+                  !snap::json::parse(resp.body, &doc, nullptr)) {
+                std::fprintf(stderr, "bench_service: preload: %s\n",
+                             resp.body.c_str());
+                std::exit(1);
+              }
+              records = static_cast<std::size_t>(
+                  doc.get("raw_records").as_int64());
+            }));
+  };
+  const auto decode = [&](const char* phase, int threads) {
+    snap::parallel::ThreadScope scope(threads);
+    report_reps(phase, threads, time_decode(body));
+  };
+  const int nt = snap::parallel::num_threads();
+  preload("preload:serial", 1);
+  preload("preload:parallel", nt);
+  decode("decode:serial", 1);
+  decode("decode:parallel", nt);
+  report->record_count(dataset, {}, 1, "preload_records",
+                       static_cast<std::int64_t>(records));
+  return records;
+}
+
+/// decode_ingest on flat bodies of 64 KiB .. 16 MiB, as e2ebench renders
+/// its batches, at 1 and 4 threads.
+void run_decode_sweep(JsonReport* report) {
+  std::printf("decode sweep (median of %d, ms):  %10s %9s %9s\n", kReps,
+              "bytes", "1 thread", "4 threads");
+  std::string body = "{\"updates\":[";
+  std::size_t i = 0;
+  for (std::size_t target = std::size_t{1} << 16;
+       target <= std::size_t{1} << 24; target *= 2) {
+    body.resize(body.size() - (i == 0 ? 0 : 2));  // reopen the array
+    for (; body.size() + 2 < target; ++i) {
+      if (i != 0) body += ',';
+      body += "{\"op\":\"insert\",\"u\":" + std::to_string(i * 7919 % 65536) +
+              ",\"v\":" + std::to_string(i * 104729 % 65536) +
+              ",\"time\":" + std::to_string(i) + "}";
+    }
+    body += "]}";
+    double ms[2] = {0, 0};
+    for (const int t : {1, 4}) {
+      snap::parallel::ThreadScope scope(t);
+      const std::vector<double> s = time_decode(body);
+      ms[t == 1 ? 0 : 1] = 1e3 * median(s);
+      report->record_reps("flat", {{"body_bytes", std::to_string(target)}},
+                          t,
+                          "decode_sweep:" + std::to_string(target >> 10) +
+                              "KiB:t" + std::to_string(t),
+                          s);
+    }
+    std::printf("%33s %10zu %9.2f %9.2f\n", "", body.size(), ms[0], ms[1]);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -260,6 +408,16 @@ int main(int argc, char** argv) {
       r0.ingest_s > 0 ? r4.ingest_s / r0.ingest_s : 0.0;
   std::printf("ingest slowdown with 4 readers: %.2fx (target <= 2x)\n",
               ratio);
+
+  // One body holding every edge: the preload's records must be the
+  // dataset's edges, one each.
+  const std::size_t preloaded = run_preload(dataset, base, &report);
+  if (preloaded != static_cast<std::size_t>(base.num_edges())) {
+    std::fprintf(stderr, "bench_service: preloaded %zu records of %lld edges\n",
+                 preloaded, static_cast<long long>(base.num_edges()));
+    return 1;
+  }
+  run_decode_sweep(&report);
   report.write();
   return 0;
 }

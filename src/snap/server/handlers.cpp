@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -16,6 +18,7 @@
 #include "snap/server/service.hpp"
 #include "snap/stream/update_batch.hpp"
 #include "snap/util/json.hpp"
+#include "snap/util/parallel.hpp"
 #include "snap/util/rng.hpp"
 
 namespace snap::server {
@@ -64,13 +67,23 @@ bool parse_int_param(const HttpRequest& req, std::string_view key,
 }
 
 /// The /ingest decoder: follows the document's nesting by depth (the open
-/// containers) and appends each record of the current top-level "updates"
-/// array to the batch as the record closes.  The root object's members sit
-/// at depth 1, records at depth 2 and their members at depth 3; every other
-/// value is only counted.
+/// containers) and writes each record of the current top-level "updates"
+/// array into its slots as the record closes.  The root object's members
+/// sit at depth 1, records at depth 2 and their members at depth 3; every
+/// other value is only counted.  A sink started inside the array reads one
+/// run of its elements, as json::parse_elements delivers them.
 class IngestSink final : public json::Sink {
  public:
-  explicit IngestSink(stream::UpdateBatch* out) : out_(out) {}
+  enum class Start : std::uint8_t { kDocument, kInsideUpdates };
+
+  /// Records go to slots [0, cap); one more sets overflowed().
+  IngestSink(stream::UpdateRecord* slots, std::size_t cap, Start start)
+      : slots_(slots), cap_(cap) {
+    if (start == Start::kInsideUpdates) {
+      depth_ = 2;
+      updates_array_ = in_updates_ = true;
+    }
+  }
 
   void null() override { value(Kind::kOther); }
   void boolean(bool /*b*/) override { value(Kind::kOther); }
@@ -109,6 +122,13 @@ class IngestSink final : public json::Sink {
     if (!updates_array_) return "body must be {\"updates\": [...]}";
     return error_;
   }
+  /// After a complete parse: every record was good and had a slot.
+  [[nodiscard]] bool accepted() const {
+    return updates_array_ && error_.empty() && !overflowed_;
+  }
+  [[nodiscard]] bool overflowed() const { return overflowed_; }
+  /// Records written to slots [0, size()).
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   enum class Kind : std::uint8_t { kNumber, kString, kArray, kObject, kOther };
@@ -119,7 +139,8 @@ class IngestSink final : public json::Sink {
     if (depth_ == 1 && updates_key_) {
       // A later "updates" key replaces everything read from an earlier one.
       updates_array_ = in_updates_ = kind == Kind::kArray;
-      out_->clear();
+      size_ = 0;
+      overflowed_ = false;
       index_ = 0;
       error_.clear();
     } else if (depth_ == 2 && in_updates_) {
@@ -168,11 +189,12 @@ class IngestSink final : public json::Sink {
       } else if (op_ == Op::kBad) {
         reject("\"op\" must be insert or delete");
       } else if (error_.empty()) {
-        const auto time = static_cast<std::uint64_t>(time_);
-        if (op_ == Op::kInsert)
-          out_->insert(u_, v_, time);
+        if (size_ == cap_)
+          overflowed_ = true;
         else
-          out_->erase(u_, v_, time);
+          slots_[size_++] = {u_, v_, static_cast<std::uint64_t>(time_),
+                             op_ == Op::kInsert ? stream::UpdateKind::kInsert
+                                                : stream::UpdateKind::kDelete};
       }
       ++index_;
     }
@@ -185,7 +207,10 @@ class IngestSink final : public json::Sink {
       error_ = "updates[" + std::to_string(index_) + "] " + why;
   }
 
-  stream::UpdateBatch* out_;
+  stream::UpdateRecord* slots_;
+  std::size_t cap_;
+  std::size_t size_ = 0;
+  bool overflowed_ = false;     ///< a good record found no slot
   int depth_ = 0;
   bool updates_key_ = false;    ///< the last root key read was "updates"
   bool updates_array_ = false;  ///< the last "updates" value is an array
@@ -202,17 +227,172 @@ class IngestSink final : public json::Sink {
   std::int64_t time_ = 0;
 };
 
+using Records = std::vector<stream::UpdateRecord>;
+
+/// The shortest record decode_ingest accepts: {"u":0,"v":0,"op":"insert"}.
+constexpr std::size_t kMinRecordBytes = 27;
+
+/// How many good records `text` can hold: each is at least kMinRecordBytes
+/// long and closes with its own '}'.  The '}' count is exact for flat
+/// records; the byte count caps it for a body of "}}}}" or "{},{},{}".
+std::size_t record_bound(std::string_view text) {
+  const auto braces =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '}'));
+  return std::min(braces, text.size() / kMinRecordBytes);
+}
+
+/// The whole-document decode: every body the chunked path does not take,
+/// and the one writer of 400 messages.  Returns the message, or "" with
+/// `*records` holding the batch.
+std::string decode_document(std::string_view body, Records* records) {
+  *records = Records(record_bound(body));
+  IngestSink sink(records->data(), records->size(),
+                  IngestSink::Start::kDocument);
+  std::string err;
+  if (!json::parse(body, sink, &err)) return "malformed JSON body: " + err;
+  // The records it kept are disjoint spans of the body, each at least
+  // kMinRecordBytes long with its own '}', so the bound holds them all.
+  if (sink.overflowed())
+    throw std::logic_error("decode_ingest: records beyond the body's bound");
+  std::string verdict = sink.verdict();
+  if (verdict.empty()) records->resize(sink.size());
+  return verdict;
+}
+
+bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+/// The `updates` array of a body shaped exactly {"updates":[...]}, with any
+/// JSON whitespace between those tokens: true with `*open` just past its
+/// '[' and `*close` on its ']' (the last one in the body).
+bool updates_array(std::string_view body, std::size_t* open,
+                   std::size_t* close) {
+  std::size_t i = 0;
+  const auto take = [&](std::string_view token) {
+    while (i < body.size() && is_ws(body[i])) ++i;
+    if (body.substr(i, token.size()) != token) return false;
+    i += token.size();
+    return true;
+  };
+  if (!take("{") || !take("\"updates\"") || !take(":") || !take("["))
+    return false;
+  std::size_t j = body.size();
+  const auto take_back = [&](char token) {
+    while (j > 0 && is_ws(body[j - 1])) --j;
+    if (j == 0 || body[j - 1] != token) return false;
+    --j;
+    return true;
+  };
+  if (!take_back('}') || !take_back(']') || j < i) return false;
+  *open = i;
+  *close = j;
+  return true;
+}
+
+/// The first '{' in [lo, hi) whose previous non-whitespace byte is ',', or
+/// npos: where a later chunk would start if the byte is a record's first.
+/// Only a guess, since the byte may sit inside a string or a nested value.
+std::size_t guess_start(std::string_view body, std::size_t lo,
+                        std::size_t hi) {
+  const std::string_view window = body.substr(0, hi);
+  for (std::size_t at = window.find('{', lo); at != std::string_view::npos;
+       at = window.find('{', at + 1)) {
+    std::size_t b = at;
+    while (b > 0 && is_ws(body[b - 1])) --b;
+    if (b > 0 && body[b - 1] == ',') return at;
+  }
+  return std::string_view::npos;
+}
+
+/// The fast path, for bodies shaped {"updates":[...]}: the array is cut at
+/// equal byte offsets into chunks that start on guessed record boundaries,
+/// and each chunk is parsed on the team straight into its own slot range of
+/// one records array, sized before the parse.  False, with `*records`
+/// empty, for any other shape or when a chunk fails its check; the caller
+/// then decodes the whole document.  Below kParallelDecodeCutoff bytes, or
+/// on one thread, the array is one chunk and nothing forks.
+bool decode_chunked(std::string_view body, Records* records) {
+  std::size_t open = 0;
+  std::size_t close = 0;
+  if (!updates_array(body, &open, &close)) return false;
+  const std::size_t want =
+      parallel::use_parallel(ExecPath::kAuto,
+                             static_cast<std::int64_t>(body.size()),
+                             kParallelDecodeCutoff)
+          ? 4 * static_cast<std::size_t>(parallel::num_threads())
+          : 1;
+  const std::size_t len = close - open;
+  std::vector<std::size_t> start{open};
+  for (std::size_t c = 1; c < want; ++c) {
+    const std::size_t at =
+        guess_start(body, std::max(open + len * c / want, start.back() + 1),
+                    open + len * (c + 1) / want);
+    if (at != std::string_view::npos) start.push_back(at);
+  }
+  const std::size_t chunks = start.size();
+  start.push_back(close);
+
+  // Chunk c writes only into slots [slot[c], slot[c + 1]).  For flat
+  // records every '}' closes one record, so the array has its final size.
+  std::vector<std::size_t> slot(chunks + 1, 0);
+  parallel::parallel_for(chunks, [&](std::size_t c) {
+    slot[c + 1] =
+        record_bound(body.substr(start[c], start[c + 1] - start[c]));
+  });
+  for (std::size_t c = 0; c < chunks; ++c) slot[c + 1] += slot[c];
+  *records = Records(slot[chunks]);
+
+  // Chunk c must stop exactly on chunk c + 1's start, and the last chunk on
+  // the ']'.  Then, by induction from the first chunk (which starts just
+  // past the '['), every start is a true record start, and the chunks'
+  // records are the whole-document parse's records in the same order.  A
+  // start that lands inside a string or a nested value fails the check.
+  std::vector<std::size_t> used(chunks, 0);
+  std::vector<std::uint8_t> good(chunks, 0);
+  parallel::parallel_for_dynamic(
+      chunks,
+      [&](std::size_t c) {
+        IngestSink sink(records->data() + slot[c], slot[c + 1] - slot[c],
+                        IngestSink::Start::kInsideUpdates);
+        const std::size_t limit =
+            c + 1 < chunks ? start[c + 1] : std::string_view::npos;
+        std::size_t stop = 0;
+        good[c] = json::parse_elements(body, start[c], /*depth=*/2, limit,
+                                       sink, &stop) &&
+                  sink.accepted() && stop == start[c + 1];
+        used[c] = sink.size();
+      },
+      /*chunk=*/1);
+  if (std::find(good.begin(), good.end(), 0) != good.end()) {
+    *records = Records();
+    return false;
+  }
+
+  // Close up the gaps left to right (a run never moves right, and one
+  // already in place is skipped: std::move must not target its source).
+  std::size_t size = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (size != slot[c]) {
+      const auto from = records->begin() + static_cast<std::ptrdiff_t>(slot[c]);
+      std::move(from, from + static_cast<std::ptrdiff_t>(used[c]),
+                records->begin() + static_cast<std::ptrdiff_t>(size));
+    }
+    size += used[c];
+  }
+  records->resize(size);
+  return true;
+}
+
 }  // namespace
 
 bool decode_ingest(std::string_view body, stream::UpdateBatch* out,
                    std::string* error) {
   out->clear();
-  IngestSink sink(out);
-  std::string err;
-  *error = json::parse(body, sink, &err) ? sink.verdict()
-                                         : "malformed JSON body: " + err;
-  if (!error->empty()) out->clear();
-  return error->empty();
+  Records records;
+  *error = decode_chunked(body, &records) ? std::string()
+                                          : decode_document(body, &records);
+  if (!error->empty()) return false;
+  out->assign(std::move(records));
+  return true;
 }
 
 GraphService::GraphService(vid_t num_vertices, bool directed)

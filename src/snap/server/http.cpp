@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "snap/util/json.hpp"
@@ -33,6 +35,7 @@ const char* status_text(int status) {
     case 405: return "Method Not Allowed";
     case 413: return "Payload Too Large";
     case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
     default: return "Status";
   }
 }
@@ -137,7 +140,24 @@ struct ConnReader {
 };
 
 /// Parse outcome for one request off the wire.
-enum class ReadOutcome { kOk, kClosed, kTooLarge, kMalformed };
+enum class ReadOutcome { kOk, kClosed, kTooLarge, kMalformed, kNotImplemented };
+
+/// A Content-Length field value: 1-19 ASCII digits, optionally between
+/// spaces and tabs (19 digits cannot overflow 64 bits).  False for anything
+/// else, including a sign or an empty value.
+bool parse_content_length(std::string_view value, std::size_t* out) {
+  const auto ows = [](char c) { return c == ' ' || c == '\t'; };
+  while (!value.empty() && ows(value.front())) value.remove_prefix(1);
+  while (!value.empty() && ows(value.back())) value.remove_suffix(1);
+  if (value.empty() || value.size() > 19) return false;
+  std::uint64_t n = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return false;
+    n = n * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  *out = static_cast<std::size_t>(n);
+  return true;
+}
 
 ReadOutcome read_request(ConnReader* rd, HttpRequest* req,
                          bool* keep_alive) {
@@ -166,8 +186,15 @@ ReadOutcome read_request(ConnReader* rd, HttpRequest* req,
   const std::string version = line.substr(sp2 + 1);
   if (version.rfind("HTTP/", 0) != 0) return ReadOutcome::kMalformed;
 
-  // 3. Headers we act on: Content-Length, Connection.
+  // 3. Headers we act on: Content-Length, Transfer-Encoding, Connection.
+  // Framing follows RFC 9112 §6.3: an invalid Content-Length, or two with
+  // different values, is a 400; a transfer coding, which this server does
+  // not decode, is a 501.  Either way the connection closes, since where
+  // the next request starts is unknown.
   std::size_t content_length = 0;
+  bool have_length = false;
+  bool bad_length = false;
+  bool transfer_coded = false;
   std::string connection;
   std::size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
   while (pos < head.size()) {
@@ -182,14 +209,20 @@ ReadOutcome read_request(ConnReader* rd, HttpRequest* req,
     while (vstart < hline.size() && hline[vstart] == ' ') ++vstart;
     const std::string value = hline.substr(vstart);
     if (name == "content-length") {
-      char* end = nullptr;
-      const unsigned long long cl = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return ReadOutcome::kMalformed;
-      content_length = static_cast<std::size_t>(cl);
+      std::size_t cl = 0;
+      if (!parse_content_length(value, &cl) ||
+          (have_length && cl != content_length))
+        bad_length = true;
+      content_length = cl;
+      have_length = true;
+    } else if (name == "transfer-encoding") {
+      transfer_coded = true;
     } else if (name == "connection") {
       connection = lower(value);
     }
   }
+  if (transfer_coded) return ReadOutcome::kNotImplemented;
+  if (bad_length) return ReadOutcome::kMalformed;
   if (content_length > kMaxBodyBytes) return ReadOutcome::kTooLarge;
 
   // HTTP/1.1 defaults to keep-alive; an explicit "close" wins either way.
@@ -350,6 +383,12 @@ void HttpServer::serve_connection(int fd) {
     if (rc == ReadOutcome::kMalformed) {
       send_response(fd, {400, "application/json",
                          R"({"error":"malformed HTTP request"})"},
+                    false);
+      return;
+    }
+    if (rc == ReadOutcome::kNotImplemented) {
+      send_response(fd, {501, "application/json",
+                         R"({"error":"transfer codings are not supported"})"},
                     false);
       return;
     }

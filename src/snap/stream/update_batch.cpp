@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "snap/util/parallel.hpp"
 
@@ -26,6 +27,11 @@ void UpdateBatch::insert(vid_t u, vid_t v, std::uint64_t time) {
 void UpdateBatch::erase(vid_t u, vid_t v, std::uint64_t time) {
   check_ids(u, v);
   records_.push_back({u, v, time, UpdateKind::kDelete});
+}
+
+void UpdateBatch::assign(std::vector<UpdateRecord> records) {
+  for (const UpdateRecord& r : records) check_ids(r.u, r.v);
+  records_ = std::move(records);
 }
 
 CanonicalBatch UpdateBatch::canonicalize(bool directed) const {

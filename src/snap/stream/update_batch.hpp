@@ -55,6 +55,12 @@ class UpdateBatch {
   /// Queue deletion of edge (u, v).
   void erase(vid_t u, vid_t v, std::uint64_t time = 0);
 
+  /// Adopt `records` as the batch's contents, in order (the ingest
+  /// decoder fills one exactly-sized array and hands it over).  Throws
+  /// std::invalid_argument, as insert and erase do, on a negative vertex
+  /// id, and then leaves the batch unchanged.
+  void assign(std::vector<UpdateRecord> records);
+
   void clear() { records_.clear(); }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] bool empty() const { return records_.empty(); }

@@ -1,5 +1,6 @@
 #include "snap/util/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -193,6 +194,18 @@ class Parser {
     return ok;
   }
 
+  /// The run of array elements from byte `from`: see json::parse_elements.
+  bool run_elements(std::size_t from, int depth, std::size_t limit,
+                    std::size_t* stop, std::string* error) {
+    pos_ = std::min(from, text_.size());
+    const bool ok = parse_elements(depth, limit);
+    if (ok)
+      *stop = pos_;
+    else if (error != nullptr)
+      *error = error_;
+    return ok;
+  }
+
  private:
   bool fail(const std::string& why) {
     if (error_.empty())
@@ -256,25 +269,27 @@ class Parser {
   bool parse_array(int depth) {
     ++pos_;  // '['
     sink_.begin_array();
+    if (!parse_elements(depth + 1, std::string_view::npos)) return false;
+    ++pos_;  // ']'
+    sink_.end_array();
+    return true;
+  }
+
+  /// The elements of an array, at `depth`, from just past its '[' or from
+  /// the first byte of an element: stops with pos_ on the array's ']', or
+  /// on the first element that starts at or after `limit`.
+  bool parse_elements(int depth, std::size_t limit) {
     skip_ws();
-    if (!at_end() && peek() == ']') {
-      ++pos_;
-      sink_.end_array();
-      return true;
-    }
+    if (!at_end() && peek() == ']') return true;  // an empty array
     for (;;) {
-      if (!parse_value(depth + 1)) return false;
+      if (pos_ >= limit) return true;
+      if (!parse_value(depth)) return false;
       skip_ws();
       if (at_end()) return fail("unterminated array");
-      const char c = text_[pos_++];
-      if (c == ']') {
-        sink_.end_array();
-        return true;
-      }
-      if (c != ',') {
-        --pos_;
-        return fail("expected ',' or ']' in array");
-      }
+      if (peek() == ']') return true;
+      if (peek() != ',') return fail("expected ',' or ']' in array");
+      ++pos_;
+      skip_ws();
     }
   }
 
@@ -439,13 +454,16 @@ class Parser {
 
   bool parse_number() {
     const std::size_t start = pos_;
-    if (!at_end() && peek() == '-') ++pos_;
+    const bool negative = !at_end() && peek() == '-';
+    if (negative) ++pos_;
     if (!at_digit()) return fail("invalid value");
     // JSON forbids leading zeros ("012"), octal-looking input is a typo.
     if (peek() == '0' && pos_ + 1 < text_.size() && text_[pos_ + 1] >= '0' &&
         text_[pos_ + 1] <= '9')
       return fail("leading zero in number");
+    const std::size_t digits = pos_;
     while (at_digit()) ++pos_;
+    const std::size_t int_end = pos_;
     if (!at_end() && peek() == '.') {
       ++pos_;
       if (!at_digit()) return fail("digit required after decimal point");
@@ -457,13 +475,25 @@ class Parser {
       if (!at_digit()) return fail("digit required in exponent");
       while (at_digit()) ++pos_;
     }
-    // from_chars reads the validated span in place, correctly rounded.  On
-    // overflow or underflow it gives no value; strtod then gives ±inf or ±0.
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
     double d = 0.0;
-    if (std::from_chars(first, last, d).ec != std::errc{})
-      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    if (pos_ == int_end && int_end - digits <= 15) {
+      // A plain integer of at most 15 digits is below 2^53, so its double
+      // is exact: the value from_chars gives, without its general path.
+      // The sign goes on the double, so -0 stays -0.0.
+      std::int64_t v = 0;
+      for (std::size_t i = digits; i < int_end; ++i)
+        v = v * 10 + (text_[i] - '0');
+      d = static_cast<double>(v);
+      if (negative) d = -d;
+    } else {
+      // from_chars reads the validated span in place, correctly rounded.
+      // On overflow or underflow it gives no value; strtod then gives ±inf
+      // or ±0.
+      const char* first = text_.data() + start;
+      const char* last = text_.data() + pos_;
+      if (std::from_chars(first, last, d).ec != std::errc{})
+        d = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     sink_.number(d);
     return true;
   }
@@ -527,6 +557,12 @@ bool parse(std::string_view text, Sink& sink, std::string* error) {
 bool parse(std::string_view text, Value* out, std::string* error) {
   TreeBuilder tree(out);
   return parse(text, tree, error);
+}
+
+bool parse_elements(std::string_view text, std::size_t from, int depth,
+                    std::size_t limit, Sink& sink, std::size_t* stop,
+                    std::string* error) {
+  return Parser(text, sink).run_elements(from, depth, limit, stop, error);
 }
 
 }  // namespace snap::json

@@ -175,11 +175,27 @@ class Sink {
 /// non-whitespace after the document is an error; nesting beyond 128 levels
 /// is rejected (the service parses attacker-supplied bodies — unbounded
 /// recursion would be a stack-overflow hole).  Numbers are correctly
-/// rounded; magnitudes beyond the double range read as ±inf, below it as ±0.
+/// rounded (integers of at most 15 digits take an exact integer path);
+/// magnitudes beyond the double range read as ±inf, below it as ±0.
 bool parse(std::string_view text, Sink& sink, std::string* error = nullptr);
 
 /// Parse one JSON document into a tree: true and `*out` filled on success,
 /// false with the same error message as above on malformed input.
 bool parse(std::string_view text, Value* out, std::string* error = nullptr);
+
+/// Parse a run of one array's elements, with the grammar `parse` uses:
+/// `from` is the byte just past the array's '[' or the first byte of an
+/// element, and `depth` is the elements' nesting depth (the root value sits
+/// at 0, so the records of `{"updates":[...]}` sit at 2, and the 128-level
+/// limit counts as in a whole-document parse).  Stops before the first
+/// element that starts at or after byte `limit`, or at the array's closing
+/// ']', and sets `*stop` to that byte.  For the same elements `sink` gets
+/// the same events as from `parse` (the array's own begin/end excluded),
+/// and malformed input fails with the same "byte N: reason" message, N
+/// counted from the start of `text`.  This lets callers split one large
+/// array into runs that parse independently.
+bool parse_elements(std::string_view text, std::size_t from, int depth,
+                    std::size_t limit, Sink& sink, std::size_t* stop,
+                    std::string* error = nullptr);
 
 }  // namespace snap::json

@@ -1,8 +1,9 @@
 // Heap budgets of the ingest path, from request body to published image:
-// UpdateBatch::canonicalize holds one arc array, an unweighted CSR image
-// holds topology only, one StreamingGraph::apply frees each stage's buffer
-// once the next one exists, and the HTTP server holds a request body once
-// and keeps none of it on an idle keep-alive connection.  Global operator
+// decoding a body allocates its records once, UpdateBatch::canonicalize
+// holds one arc array, an unweighted CSR image holds topology only, one
+// StreamingGraph::apply frees each stage's buffer once the next one exists,
+// and the HTTP server holds a request body once and keeps none of it on an
+// idle keep-alive connection.  Global operator
 // new/delete are replaced with size-tracking versions, which is why this
 // test is its own executable.
 
@@ -22,6 +23,7 @@
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/io/binary_io.hpp"
 #include "snap/server/http.hpp"
+#include "snap/server/service.hpp"
 #include "snap/stream/streaming_graph.hpp"
 #include "snap/stream/update_batch.hpp"
 #include "snap/util/parallel.hpp"
@@ -208,6 +210,67 @@ TEST(ApplyAlloc, RecordsAndArcsAreFreedOnceTheNextStageExists) {
         << "threads=" << threads << ": peak " << top - before
         << " B; records " << records << ", arcs " << arcs << ", growth "
         << growth << ", image " << image;
+  }
+}
+
+/// A POST /ingest body of `n` flat records, as the benchmark renders them.
+std::string flat_body(vid_t n) {
+  std::string body = "{\"updates\":[";
+  for (vid_t i = 0; i < n; ++i) {
+    const auto [u, v] = edge_at(i % kEdges);
+    if (i != 0) body += ',';
+    body += "{\"op\":\"insert\",\"u\":" + std::to_string(u) +
+            ",\"v\":" + std::to_string(v) + ",\"time\":" + std::to_string(i) +
+            "}";
+  }
+  return body + "]}";
+}
+
+TEST(DecodeAlloc, RecordsAreAllocatedOnce) {
+  // Every record of a flat body closes with the body's only '}', so the
+  // decoder sizes its one records array exactly: 4 MiB here, with no
+  // doubling growth and no per-chunk buffers.
+  static_assert(sizeof(UpdateRecord) == 32);
+  const std::string body = flat_body(kEdges);
+  const std::size_t records = kEdges * sizeof(UpdateRecord);
+  for (const int threads : {1, 4}) {
+    snap::parallel::ThreadScope scope(threads);
+    std::string err;
+    {
+      UpdateBatch warm;
+      ASSERT_TRUE(snap::server::decode_ingest(body, &warm, &err)) << err;
+    }
+    const std::size_t before = reset_peak();
+    UpdateBatch batch;
+    ASSERT_TRUE(snap::server::decode_ingest(body, &batch, &err)) << err;
+    const std::size_t top = peak();
+    ASSERT_EQ(batch.size(), static_cast<std::size_t>(kEdges));
+    EXPECT_LE(top - before, records + kMiB)
+        << "threads=" << threads << ": decoding peaked " << top - before
+        << " B above the live heap for " << records << " B of records";
+  }
+}
+
+TEST(DecodeAlloc, EmptyRecordsCannotInflateTheArray) {
+  // 8 MiB of "{}," holds 2.8M '}' bytes, but a good record is at least 27
+  // bytes long, so the array is bounded by 32/27 of the body.
+  const std::size_t target = 8 * kMiB;
+  std::string body = "{\"updates\":[{}";
+  while (body.size() + 5 < target) body += ",{}";
+  body += "]}";
+  const std::size_t budget = body.size() / 27 * sizeof(UpdateRecord) + kMiB;
+  for (const int threads : {1, 4}) {
+    snap::parallel::ThreadScope scope(threads);
+    const std::size_t before = reset_peak();
+    UpdateBatch batch;
+    std::string err;
+    EXPECT_FALSE(snap::server::decode_ingest(body, &batch, &err));
+    const std::size_t top = peak();
+    EXPECT_EQ(err, "updates[0] needs non-negative integer \"u\" and \"v\"");
+    EXPECT_TRUE(batch.empty());
+    EXPECT_LE(top - before, budget)
+        << "threads=" << threads << ": decoding peaked " << top - before
+        << " B above the live heap for a " << body.size() << " B body";
   }
 }
 

@@ -3,6 +3,7 @@
 // service rely on.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -307,6 +308,116 @@ TEST(JsonSink, EventsArriveInDocumentOrder) {
   EXPECT_EQ(err, "byte 8: invalid literal");
   EXPECT_EQ(partial.events,
             (std::vector<std::string>{"[", "#:1", "{", "k:k"}));
+}
+
+/// Keeps the last number event.
+class LastNumber final : public snap::json::Sink {
+ public:
+  void null() override {}
+  void boolean(bool) override {}
+  void number(double d) override { value = d; }
+  void string(std::string_view) override {}
+  void key(std::string_view) override {}
+  void begin_array() override {}
+  void end_array() override {}
+  void begin_object() override {}
+  void end_object() override {}
+
+  double value = 1.5;
+};
+
+TEST(JsonNumbers, IntegersReadBitForBitAsFromChars) {
+  // Plain integers of up to 15 digits take an integer path; longer ones,
+  // and the boundaries around 10^15 and 2^53, must read as from_chars
+  // reads them, sign and -0 included.
+  std::vector<std::string> spans = {"0",
+                                    "999999999999999",
+                                    "1000000000000000",
+                                    "9007199254740991",
+                                    "9007199254740992",
+                                    "9007199254740993"};
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (int digits = 1; digits <= 17; ++digits) {
+    for (int k = 0; k < 64; ++k) {
+      std::string span;
+      for (int i = 0; i < digits; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const auto d = static_cast<int>((state >> 33) % 10);
+        span += static_cast<char>('0' + (i == 0 && digits > 1 ? 1 + d % 9 : d));
+      }
+      spans.push_back(span);
+    }
+  }
+  for (const std::string& span : spans) {
+    for (const std::string& text : {span, "-" + span}) {
+      LastNumber sink;
+      std::string err;
+      ASSERT_TRUE(snap::json::parse(text, sink, &err)) << text << err;
+      double want = 0.0;
+      std::from_chars(text.data(), text.data() + text.size(), want);
+      EXPECT_EQ(bits(sink.value), bits(want)) << text;
+    }
+  }
+  LastNumber zero;
+  ASSERT_TRUE(snap::json::parse("-0", zero));
+  EXPECT_TRUE(std::signbit(zero.value));
+}
+
+TEST(JsonSink, ElementRunsMatchTheWholeParse) {
+  const std::string text =
+      R"({"a":[ 1 , {"b":[2,{"c":"]"}]} ,"x,{", [] ,null ]})";
+  RecordingSink whole;
+  ASSERT_TRUE(snap::json::parse(text, whole));
+  // The array's own events and the root's are not part of a run.
+  const std::vector<std::string> elements(whole.events.begin() + 3,
+                                          whole.events.end() - 2);
+  const std::size_t open = text.find('[') + 1;
+  const std::size_t second = text.find('{', open);
+  const std::size_t third = text.find("\"x");
+  const std::size_t close = text.rfind(']');
+  constexpr std::size_t kNoLimit = std::string_view::npos;
+
+  // Runs cut on element starts; a limit inside an element ends the run
+  // after it; and the last run stops on the ']'.
+  for (const std::size_t cut : {second, second + 1, third - 1}) {
+    RecordingSink runs;
+    std::size_t stop = 0;
+    std::string err;
+    ASSERT_TRUE(snap::json::parse_elements(text, open, 2, cut, runs, &stop,
+                                           &err))
+        << err;
+    const std::size_t next = cut == second ? second : third;
+    EXPECT_EQ(stop, next);
+    ASSERT_TRUE(snap::json::parse_elements(text, next, 2, kNoLimit, runs,
+                                           &stop, &err))
+        << err;
+    EXPECT_EQ(stop, close);
+    EXPECT_EQ(runs.events, elements) << cut;
+  }
+
+  // An empty array stops on its ']' at once.
+  RecordingSink none;
+  std::size_t stop = 0;
+  ASSERT_TRUE(snap::json::parse_elements("[ \n]", 1, 1, kNoLimit, none, &stop));
+  EXPECT_EQ(stop, 3u);
+  EXPECT_TRUE(none.events.empty());
+
+  // Malformed elements fail with the whole parse's message, and nesting
+  // counts from the given depth.
+  for (const std::string& bad :
+       {std::string("[1,2,}"), std::string("[1 2]"), std::string("[1,"),
+        std::string("[{\"a\":tru}]"), std::string(129, '[') + "]",
+        std::string(130, '[') + "]"}) {
+    RecordingSink sink;
+    std::string want;
+    std::string got;
+    const bool whole_ok = snap::json::parse(bad, sink, &want);
+    const bool run_ok =
+        snap::json::parse_elements(bad, 1, 1, kNoLimit, sink, &stop, &got);
+    EXPECT_FALSE(whole_ok) << bad;
+    EXPECT_FALSE(run_ok) << bad;
+    EXPECT_EQ(got, want) << bad;
+  }
 }
 
 }  // namespace

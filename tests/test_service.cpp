@@ -10,12 +10,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -429,28 +431,99 @@ TEST_F(ServiceTest, KeepAliveServesManyRequestsOnOneConnection) {
   }
 }
 
-TEST_F(ServiceTest, MalformedHttpGetsA400) {
-  // Raw garbage on the socket — the server must answer 400, not hang.
-  // HttpClient always writes well-formed requests, so speak raw TCP here.
+/// Send `bytes` on a fresh connection and read until the server closes it
+/// (or 10 s pass).  HttpClient always writes well-formed requests, so the
+/// framing tests speak raw TCP.
+std::string raw_exchange(int port, const std::string& bytes) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return "";
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port_));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  const char garbage[] = "GARBAGE\r\n\r\n";
-  ASSERT_GT(::send(fd, garbage, sizeof garbage - 1, 0), 0);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  EXPECT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   std::string reply;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    reply.append(buf, static_cast<std::size_t>(n));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) > 0) {
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
   }
   ::close(fd);
+  return reply;
+}
+
+TEST_F(ServiceTest, MalformedHttpGetsA400) {
+  // Raw garbage on the socket — the server must answer 400, not hang.
+  const std::string reply = raw_exchange(port_, "GARBAGE\r\n\r\n");
   EXPECT_NE(reply.find("HTTP/1.1 400"), std::string::npos) << reply;
   EXPECT_NE(reply.find("malformed"), std::string::npos) << reply;
+}
+
+/// A POST /ingest that inserts edge 6-7, with `fields` as its framing
+/// header lines and `body` after the head.
+std::string framed_ingest(const std::string& fields, const std::string& body) {
+  return "POST /ingest HTTP/1.1\r\nHost: snap\r\nConnection: close\r\n" +
+         fields + "\r\n" + body;
+}
+
+const std::string kEdge67 = R"({"updates":[{"op":"insert","u":6,"v":7}]})";
+
+TEST_F(ServiceTest, InvalidContentLengthIsA400AndAppliesNothing) {
+  seed();
+  const std::string n = std::to_string(kEdge67.size());
+  const std::vector<std::string> fields = {
+      "Content-Length: -1\r\n",                            // wrapped to 2^64 - 1
+      "Content-Length:\r\n",                               // read as 0
+      "Content-Length: +" + n + "\r\n",                    // strtoull's sign
+      "Content-Length: 5\r\nContent-Length: " + n + "\r\n",  // last one won
+      "Content-Length: " + std::string(20 - n.size(), '0') + n + "\r\n",
+  };
+  for (const std::string& f : fields) {
+    const std::string reply = raw_exchange(port_, framed_ingest(f, kEdge67));
+    EXPECT_TRUE(reply.starts_with("HTTP/1.1 400 Bad Request\r\n")) << f << reply;
+    EXPECT_NE(reply.find("Connection: close"), std::string::npos) << f;
+    EXPECT_TRUE(reply.ends_with(R"({"error":"malformed HTTP request"})"))
+        << f << reply;
+    Value stats;
+    ASSERT_TRUE(snap::json::parse(get("/stats").body, &stats, nullptr));
+    EXPECT_EQ(stats.get("epoch").as_int64(), 1) << f;
+  }
+  // Over the body cap is still a 413, and a repeated equal value, with
+  // spaces and tabs around it, frames the body.
+  EXPECT_TRUE(raw_exchange(port_, framed_ingest("Content-Length: 99999999999\r\n",
+                                                kEdge67))
+                  .starts_with("HTTP/1.1 413 "));
+  const std::string same = "Content-Length: \t" + n + " \r\nContent-Length: " +
+                           n + "\r\n";
+  const std::string reply = raw_exchange(port_, framed_ingest(same, kEdge67));
+  EXPECT_TRUE(reply.starts_with("HTTP/1.1 200 OK\r\n")) << reply;
+  Value stats;
+  ASSERT_TRUE(snap::json::parse(get("/stats").body, &stats, nullptr));
+  EXPECT_EQ(stats.get("epoch").as_int64(), 2);
+}
+
+TEST_F(ServiceTest, TransferEncodingIsA501AndAppliesNothing) {
+  seed();
+  std::ostringstream chunk;
+  chunk << std::hex << kEdge67.size() << "\r\n" << kEdge67 << "\r\n0\r\n\r\n";
+  for (const std::string f :
+       {"Transfer-Encoding: chunked\r\n",
+        "Transfer-Encoding: chunked\r\nContent-Length: 3\r\n"}) {
+    const std::string reply = raw_exchange(port_, framed_ingest(f, chunk.str()));
+    EXPECT_TRUE(reply.starts_with("HTTP/1.1 501 Not Implemented\r\n"))
+        << f << reply;
+    EXPECT_NE(reply.find("Connection: close"), std::string::npos) << f;
+    Value stats;
+    ASSERT_TRUE(snap::json::parse(get("/stats").body, &stats, nullptr));
+    EXPECT_EQ(stats.get("epoch").as_int64(), 1) << f;
+  }
 }
 
 TEST_F(ServiceTest, ConcurrentIngestAndQuery) {
