@@ -16,6 +16,9 @@
 //                per-iteration cross-shard message volume and how much the
 //                combiner cut it vs a naive per-cut-edge push)
 //
+// It also times the SNAPB2 load of the instance (`load:snapb2`, median of
+// 5 read_binary calls; the file's size is the exact count `bytes:snapb2`).
+//
 // Every kernel uses the same logical source vertices in every layout (ids
 // mapped through the relabeling permutation), so the numbers isolate the
 // memory layout.  Pre-pass and build costs are recorded as their own
@@ -34,6 +37,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,6 +48,7 @@
 #include "snap/community/louvain.hpp"
 #include "snap/graph/compressed_csr.hpp"
 #include "snap/graph/reorder.hpp"
+#include "snap/io/binary_io.hpp"
 #include "snap/kernels/bfs.hpp"
 #include "snap/kernels/connected_components.hpp"
 #include "snap/kernels/pagerank.hpp"
@@ -57,6 +62,7 @@ using snap::CSRGraph;
 using snap::vid_t;
 
 constexpr int kBCSources = 8;
+constexpr int kLoadReps = 5;
 
 /// Best-of-reps wall time of `fn` (which must not be optimized away:
 /// every kernel returns a result we fold into `sink`).
@@ -171,6 +177,38 @@ int main(int argc, char** argv) {
   std::printf("image: CSR %zu B (%.2f B/arc), compressed %zu B\n",
               g.byte_size(), static_cast<double>(g.byte_size()) / arcs,
               compressed.byte_size());
+
+  // SNAPB2 load: read_binary of the instance's file, median of 5, plus the
+  // file's exact size.  A smoke run (or an instance whose cache is missing)
+  // writes a temporary file first, untimed.
+  {
+    std::string file = corpus_dir() + "/" + dataset + ".snapb";
+    const bool temporary = smoke || !std::filesystem::exists(file);
+    if (temporary) {
+      file = (std::filesystem::temp_directory_path() /
+              ("snap_bench_memory_" + dataset + ".snapb"))
+                 .string();
+      snap::io::write_binary(g, file);
+    }
+    const auto file_bytes =
+        static_cast<std::int64_t>(std::filesystem::file_size(file));
+    std::vector<double> load_s;
+    for (int r = 0; r < kLoadReps; ++r) {
+      snap::WallTimer t;
+      const CSRGraph back = snap::io::read_binary(file);
+      load_s.push_back(t.elapsed_s());
+      sink += static_cast<double>(back.num_arcs());
+    }
+    if (temporary) std::filesystem::remove(file);
+    report.record_reps(dataset, size_params, threads, "load:snapb2", load_s,
+                       static_cast<double>(file_bytes));
+    report.record_count(dataset, size_params, threads, "bytes:snapb2",
+                        file_bytes);
+    std::sort(load_s.begin(), load_s.end());
+    std::printf("SNAPB2 load: %lld B in %.4fs (median of %d, %.4f-%.4fs)\n",
+                static_cast<long long>(file_bytes), load_s[load_s.size() / 2],
+                kLoadReps, load_s.front(), load_s.back());
+  }
 
   snap::PartitionedCSROptions popts;
   popts.num_shards = std::max(4, threads);

@@ -7,7 +7,9 @@
 // Phases (bench_compare keys):
 //   direct_apply : the same update stream applied straight through
 //                  StreamingGraph::apply with eager snapshots — the
-//                  in-process ceiling the HTTP path is measured against.
+//                  in-process ceiling the HTTP path is measured against;
+//                  the median of 5 runs, each on a fresh graph, so the
+//                  process's cold start does not land in one timing.
 //   replay_0r    : stream POSTed batch-by-batch to /ingest, no readers.
 //   replay_4r    : same, with 4 reader threads hammering cheap queries
 //                  over keep-alive connections.
@@ -102,26 +104,52 @@ std::vector<std::string> ingest_bodies(const std::vector<Edge>& edges,
   return bodies;
 }
 
-/// In-process ceiling: the same batches through apply(), eager snapshots on
-/// (that is what the service pays per epoch).  Returns seconds; *out gets
-/// the final edge count for the correctness checks.
-double run_direct(vid_t n, const std::vector<Edge>& edges,
-                  std::size_t batch_size, snap::eid_t* final_edges) {
-  snap::stream::StreamingGraph sg(n, /*directed=*/false);
-  sg.set_eager_snapshots(true);
-  std::vector<snap::stream::UpdateBatch> batches;
-  std::size_t at = 0;
-  while (at < edges.size()) {
-    const std::size_t hi = std::min(at + batch_size, edges.size());
-    snap::stream::UpdateBatch& b = batches.emplace_back();
-    for (std::size_t i = at; i < hi; ++i)
-      b.insert(edges[i].u, edges[i].v, static_cast<std::uint64_t>(i));
-    at = hi;
+constexpr int kReps = 5;
+
+/// `kReps` timings of `run()`, each after `prepare()` (untimed).
+template <typename Prepare, typename Run>
+std::vector<double> time_reps(Prepare&& prepare, Run&& run) {
+  std::vector<double> s;
+  for (int r = 0; r < kReps; ++r) {
+    prepare();
+    snap::WallTimer timer;
+    run();
+    s.push_back(timer.elapsed_s());
   }
-  snap::WallTimer timer;
-  for (auto& b : batches) sg.apply(std::move(b));
-  const double s = timer.elapsed_s();
-  *final_edges = sg.pin()->graph().num_edges();
+  return s;
+}
+
+double median(std::vector<double> s) {
+  std::sort(s.begin(), s.end());
+  return s[s.size() / 2];
+}
+
+/// In-process ceiling: the same batches through apply(), eager snapshots on
+/// (that is what the service pays per epoch).  `kReps` timings, each on a
+/// fresh graph with its batches built untimed; *final_edges gets the edge
+/// count for the correctness checks.
+std::vector<double> run_direct(vid_t n, const std::vector<Edge>& edges,
+                               std::size_t batch_size,
+                               snap::eid_t* final_edges) {
+  std::unique_ptr<snap::stream::StreamingGraph> sg;
+  std::vector<snap::stream::UpdateBatch> batches;
+  const std::vector<double> s = time_reps(
+      [&] {
+        sg = std::make_unique<snap::stream::StreamingGraph>(
+            n, /*directed=*/false);
+        sg->set_eager_snapshots(true);
+        batches.clear();
+        for (std::size_t at = 0; at < edges.size(); at += batch_size) {
+          const std::size_t hi = std::min(at + batch_size, edges.size());
+          snap::stream::UpdateBatch& b = batches.emplace_back();
+          for (std::size_t i = at; i < hi; ++i)
+            b.insert(edges[i].u, edges[i].v, static_cast<std::uint64_t>(i));
+        }
+      },
+      [&] {
+        for (auto& b : batches) sg->apply(std::move(b));
+      });
+  *final_edges = sg->pin()->graph().num_edges();
   return s;
 }
 
@@ -221,26 +249,6 @@ std::string preload_body(const CSRGraph& g) {
     }
   }
   return body + "]}";
-}
-
-constexpr int kReps = 5;
-
-/// `kReps` timings of `run()`, each after `prepare()` (untimed).
-template <typename Prepare, typename Run>
-std::vector<double> time_reps(Prepare&& prepare, Run&& run) {
-  std::vector<double> s;
-  for (int r = 0; r < kReps; ++r) {
-    prepare();
-    snap::WallTimer timer;
-    run();
-    s.push_back(timer.elapsed_s());
-  }
-  return s;
-}
-
-double median(std::vector<double> s) {
-  std::sort(s.begin(), s.end());
-  return s[s.size() / 2];
 }
 
 /// Decode `body` kReps times; exits on a rejected body.
@@ -372,11 +380,16 @@ int main(int argc, char** argv) {
               bodies.size(), batch_size);
 
   snap::eid_t direct_edges = 0;
-  const double direct_s = run_direct(n, edges, batch_size, &direct_edges);
-  std::printf("%-22s %9.3fs %14.0f edges/s\n", "direct apply (eager)",
-              direct_s, eps(edges.size(), direct_s));
-  report.record(dataset, {{"batch_size", std::to_string(batch_size)}}, 1,
-                "direct_apply", direct_s, eps(edges.size(), direct_s));
+  const std::vector<double> direct =
+      run_direct(n, edges, batch_size, &direct_edges);
+  const double direct_s = median(direct);
+  std::printf("%-22s %9.3fs %14.0f edges/s  (%.3f-%.3fs)\n",
+              "direct apply (eager)", direct_s, eps(edges.size(), direct_s),
+              *std::min_element(direct.begin(), direct.end()),
+              *std::max_element(direct.begin(), direct.end()));
+  report.record_reps(dataset, {{"batch_size", std::to_string(batch_size)}},
+                     1, "direct_apply", direct,
+                     static_cast<double>(edges.size()));
 
   const ReplayResult r0 = run_replay(n, bodies, /*readers=*/0);
   std::printf("%-22s %9.3fs %14.0f edges/s\n", "replay, 0 readers",

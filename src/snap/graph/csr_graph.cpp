@@ -337,7 +337,6 @@ CSRGraph CSRGraph::from_parts(vid_t n, eid_t m, bool directed, bool weighted,
   g.endpoints_ = std::move(endpoints);
   g.weights_ = std::move(arc_weights);
   g.edge_weights_ = std::move(edge_weights);
-  SNAP_VALIDATE(g);
   return g;
 }
 

@@ -164,8 +164,9 @@ class CSRGraph {
   /// (u <= v), arc symmetry, and — when `sorted` — rows ordered by
   /// (neighbor, edge id).  A weighted graph passes per-arc and per-edge
   /// weights; an unweighted one passes both empty.  Cheap size invariants
-  /// are asserted always; the full O(n+m) structural validator runs at
-  /// SNAP_CHECK_LEVEL=2.
+  /// are asserted always; the full O(n+m) structural validator is the
+  /// caller's to run at SNAP_CHECK_LEVEL=2 — to_csr aborts on a violation,
+  /// read_binary throws, since its arrays are outside input.
   static CSRGraph from_parts(vid_t n, eid_t m, bool directed, bool weighted,
                              bool sorted, std::vector<eid_t> offsets,
                              std::vector<vid_t> adj,

@@ -29,15 +29,23 @@ void DynamicGraph::ensure_vertices(vid_t n) {
 
 bool DynamicGraph::insert_arc(vid_t u, vid_t v) {
   if (!treap_[u].empty()) return treap_[u].insert(v);
+  // One pass from the back moves each larger entry up a slot until v's
+  // place is found: a row holds at most promote_threshold_ entries, and
+  // this costs less than a binary search followed by a separate shift.
+  // An insert of a present neighbour moves them back.
   auto& a = flat_[u];
-  if (std::find(a.begin(), a.end(), v) != a.end()) return false;
   a.push_back(v);
+  std::size_t at = a.size() - 1;
+  for (; at > 0 && a[at - 1] > v; --at) a[at] = a[at - 1];
+  if (at > 0 && a[at - 1] == v) {
+    a.erase(a.begin() + static_cast<std::ptrdiff_t>(at));
+    return false;
+  }
+  a[at] = v;
   if (static_cast<eid_t>(a.size()) > promote_threshold_) {
-    // Promote: migrate the flat array into a treap.
-    std::sort(a.begin(), a.end());
+    // Promote: the sorted row is the treap's key sequence.
     treap_[u] = Treap::from_sorted(a);
-    a.clear();
-    a.shrink_to_fit();
+    a = std::vector<vid_t>();
   }
   return true;
 }
@@ -45,17 +53,16 @@ bool DynamicGraph::insert_arc(vid_t u, vid_t v) {
 bool DynamicGraph::delete_arc(vid_t u, vid_t v) {
   if (!treap_[u].empty()) return treap_[u].erase(v);
   auto& a = flat_[u];
-  auto it = std::find(a.begin(), a.end(), v);
-  if (it == a.end()) return false;
-  *it = a.back();
-  a.pop_back();
+  const auto at = std::lower_bound(a.begin(), a.end(), v);
+  if (at == a.end() || *at != v) return false;
+  a.erase(at);
   return true;
 }
 
 bool DynamicGraph::has_arc(vid_t u, vid_t v) const {
   if (!treap_[u].empty()) return treap_[u].contains(v);
   const auto& a = flat_[u];
-  return std::find(a.begin(), a.end(), v) != a.end();
+  return std::binary_search(a.begin(), a.end(), v);
 }
 
 bool DynamicGraph::insert_edge(vid_t u, vid_t v) {
@@ -116,9 +123,8 @@ CSRGraph DynamicGraph::to_csr() const {
   const eid_t m = first_edge[n];
   const auto arcs = static_cast<std::size_t>(off[n]);
 
-  // Pass 2: copy each row sorted (treaps walk in order; flat rows hold at
-  // most promote_threshold_ entries and sort in place), then number the
-  // owned arcs — a sorted suffix of the row — in (u, v) order.  An
+  // Pass 2: copy each row, already ascending in both layouts, then number
+  // the owned arcs — a sorted suffix of the row — in (u, v) order.  An
   // undirected self loop's twin arc shares its edge id.
   std::vector<vid_t> adj(arcs);
   std::vector<eid_t> ids(arcs);
@@ -132,7 +138,6 @@ CSRGraph DynamicGraph::to_csr() const {
       if (!directed_ && v == u) *at++ = v;
     });
     SNAP_DCHECK(at == end, "row ", u, " outgrew its pass-1 length");
-    if (!is_promoted(u)) std::sort(row, end);
     const eid_t lo =
         (directed_ ? row : std::lower_bound(row, end, u)) - adj.begin();
     eid_t e = first_edge[u];
@@ -171,6 +176,7 @@ CSRGraph DynamicGraph::to_csr() const {
                                     std::move(ends));
   SNAP_DCHECK(g.num_edges() == m_, "to_csr emitted ", g.num_edges(),
               " edges but the dynamic graph tracks ", m_);
+  SNAP_VALIDATE(g);
   return g;
 }
 

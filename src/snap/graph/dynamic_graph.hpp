@@ -16,9 +16,17 @@ class StreamingGraph;
 
 /// Dynamic graph with the degree-hybrid adjacency layout of §3 ("Data
 /// Representation"): small-world degree distributions are heavily skewed, so
-/// adjacencies of the many low-degree vertices live in simple unsorted
-/// resizable arrays, while adjacencies of the few high-degree vertices are
-/// promoted to treaps, which support fast insertion, deletion and search.
+/// adjacencies of the many low-degree vertices live in flat arrays, while
+/// adjacencies of the few high-degree vertices are promoted to treaps, which
+/// support fast insertion, deletion and search.
+///
+/// The paper's flat arrays are unsorted; here every flat row is a strictly
+/// ascending set, as in Leskovec and Sosič's SNAP.  A row holds at most
+/// `promote_threshold` entries, so an insert or delete shifts a few words,
+/// and in exchange a lookup is a binary search, a row filled from empty is
+/// written once at exactly its final size (StreamingGraph::apply does so
+/// for every row of a preload), promotion builds the treap from the row as
+/// is, and the CSR snapshot copies rows without sorting them.
 ///
 /// The structure is unweighted and stores both arcs for undirected graphs.
 class DynamicGraph {
@@ -53,9 +61,9 @@ class DynamicGraph {
   /// True if v's adjacency currently lives in a treap.
   [[nodiscard]] bool is_promoted(vid_t v) const { return !treap_[v].empty(); }
 
-  /// Visit every neighbor of v: a flat row in insertion order, a treap in
-  /// ascending order.  The visitor inlines into the adjacency walk, which is
-  /// what the streaming observers' and to_csr's hot loops want.
+  /// Visit every neighbor of v in ascending order, from either layout.  The
+  /// visitor inlines into the adjacency walk, which is what the streaming
+  /// observers' and to_csr's hot loops want.
   template <typename Fn>
   void for_each_neighbor(vid_t v, Fn&& fn) const {
     const auto s = static_cast<std::size_t>(v);
@@ -78,9 +86,10 @@ class DynamicGraph {
   static DynamicGraph from_csr(const CSRGraph& g, eid_t promote_threshold = 128);
 
  private:
-  // The streaming engine applies canonicalized batches arc-by-arc, with every
-  // vertex's adjacency owned by exactly one thread; it needs the arc
-  // primitives and fixes up m_ itself.
+  // The streaming engine applies canonicalized batches one owner group at a
+  // time, with every vertex's adjacency owned by exactly one thread: it
+  // fills an empty row from a group itself, uses the arc primitives on any
+  // other row, and fixes up m_.
   friend class stream::StreamingGraph;
   // Validators (and their mutation tests) read the raw adjacency state.
   friend struct debug::Access;
@@ -88,7 +97,8 @@ class DynamicGraph {
   bool directed_;
   eid_t promote_threshold_;
   eid_t m_ = 0;
-  // Per vertex: flat adjacency until promoted, then the treap owns it.
+  // Per vertex: a strictly ascending flat row until promoted, then the
+  // treap owns the adjacency.
   std::vector<std::vector<vid_t>> flat_;
   std::vector<Treap> treap_;
 

@@ -1,17 +1,33 @@
 #include "snap/io/binary_io.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "snap/debug/check.hpp"
+#include "snap/debug/validate.hpp"
 
 namespace snap::io {
 
 namespace {
 
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+/// kFnvPrimePowers[k] = P^k mod 2^64: the steps of k zero bytes.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
 constexpr char kMagicV1[8] = {'S', 'N', 'A', 'P', 'B', '1', '\n', '\0'};
+constexpr std::int64_t kMaxV1Vertices = std::int64_t{1} << 32;
 constexpr char kMagicV2[8] = {'S', 'N', 'A', 'P', 'B', '2', '\n', '\0'};
 
 // Legacy (v1) layout: 32-byte header + m RawEdge records.
@@ -53,23 +69,6 @@ struct HeaderV2 {
 };
 static_assert(sizeof(HeaderV2) == 48);
 
-class Fnv1a {
- public:
-  void update(const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t h = hash_;
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 0x100000001b3ULL;
-    }
-    hash_ = h;
-  }
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw std::runtime_error("binary graph: " + what + ": " + path);
 }
@@ -99,15 +98,30 @@ std::uint64_t remaining_bytes(std::ifstream& in) {
 CSRGraph read_binary_v1(std::ifstream& in, const HeaderV1& h,
                         const std::string& path) {
   if (h.n < 0 || h.m < 0) fail("bad header (negative n or m)", path);
+  // SNAPB1 stores no per-vertex array, so nothing in the file bounds n:
+  // past 2^32 vertices it is refused rather than sized for, and a graph
+  // that still cannot be allocated is a refused file, like any other.
+  if (h.n > kMaxV1Vertices)
+    fail("bad header (n = " + std::to_string(h.n) +
+             " is past the SNAPB1 limit of 2^32 vertices)",
+         path);
   if (static_cast<std::uint64_t>(h.m) > remaining_bytes(in) / sizeof(RawEdge))
     fail("truncated file (header promises more edges than it holds)", path);
   EdgeList edges(static_cast<std::size_t>(h.m));
   for (auto& e : edges) {
     RawEdge r{};
     read_all(in, &r, sizeof(r), path);
+    if (r.u < 0 || r.u >= h.n || r.v < 0 || r.v >= h.n)
+      fail("edge array holds an endpoint outside [0, n)", path);
     e = Edge{r.u, r.v, r.w};
   }
-  return CSRGraph::from_edges(h.n, edges, h.directed != 0);
+  try {
+    return CSRGraph::from_edges(h.n, edges, h.directed != 0);
+  } catch (const std::bad_alloc&) {
+    fail("bad header (cannot allocate a graph of n = " + std::to_string(h.n) +
+             " vertices)",
+         path);
+  }
 }
 
 CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
@@ -200,13 +214,48 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
       }))
     fail("edge array holds an endpoint outside [0, n)", path);
 
-  return CSRGraph::from_parts(h.n, h.m, directed, weighted, sorted,
-                              std::move(offsets), std::move(adj),
-                              std::move(arc_edge_ids), std::move(ends),
-                              std::move(weights), std::move(edge_weights));
+  CSRGraph g = CSRGraph::from_parts(
+      h.n, h.m, directed, weighted, sorted, std::move(offsets), std::move(adj),
+      std::move(arc_edge_ids), std::move(ends), std::move(weights),
+      std::move(edge_weights));
+  // With the structural validators compiled in, a file whose indices are in
+  // range but whose arrays disagree (an arc naming the wrong edge, a missing
+  // mirror arc, an unsorted row flagged sorted) is refused: it is outside
+  // input, so it gets an error, not the validators' abort.
+  if constexpr (debug::kCheckLevel >= 2) {
+    const debug::ValidationReport report = debug::validate(g);
+    if (!report.ok())
+      fail("invalid CSR image (" + report.errors.front() + ")", path);
+  }
+  return g;
 }
 
 }  // namespace
+
+void Fnv1a::update(const void* data, std::size_t len) {
+  // A zero byte's step (h ^ 0) * P is a bare multiplication, and most words
+  // of a CSR payload are small non-negative integers whose high bytes are
+  // zero.  So each 8-byte word takes the xor-multiply step for its bytes up
+  // to the last non-zero one in memory order, then one multiplication by
+  // P^k for the k zero bytes after it; a tail shorter than a word goes byte
+  // by byte.
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = hash_;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, sizeof(w));
+    unsigned live = 0;  // bytes up to the last non-zero one, in memory order
+    if constexpr (std::endian::native == std::endian::little)
+      live = (static_cast<unsigned>(std::bit_width(w)) + 7) / 8;
+    else
+      live = 8 - static_cast<unsigned>(std::countr_zero(w)) / 8;
+    for (unsigned b = 0; b < live; ++b) h = (h ^ p[i + b]) * kFnvPrime;
+    h *= kFnvPrimePowers[8 - live];
+  }
+  for (; i < len; ++i) h = (h ^ p[i]) * kFnvPrime;
+  hash_ = h;
+}
 
 void write_binary(const CSRGraph& g, const std::string& path) {
   std::ofstream out(path, std::ios::binary);

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "snap/debug/validate.hpp"
@@ -83,9 +84,9 @@ ApplyStats StreamingGraph::apply_canonical(CanonicalBatch cb) {
     const std::size_t ngroups = group_begin.size();
     group_begin.push_back(na);
 
-    // Apply.  insert_arc/delete_arc report whether the arc actually changed
-    // state; within a group arcs are applied in (nbr, seq) order, so flat
-    // array contents, promotion points and treap shapes are all deterministic.
+    // Apply.  Every group lands in one row and is applied by one thread, in
+    // neighbour order (see apply_group), so row contents, promotion points
+    // and treap shapes are deterministic.
     //
     // Effective logical edge changes: for undirected graphs the two arcs of
     // an edge are always both effective or both not (the adjacency mirror
@@ -102,13 +103,10 @@ ApplyStats StreamingGraph::apply_canonical(CanonicalBatch cb) {
         [&](std::size_t g) {
           const std::size_t lo = group_begin[g];
           const std::size_t hi = group_begin[g + 1];
-          for (std::size_t i = lo; i < hi; ++i) {
-            const ArcUpdate& a = arcs[i];
-            const bool insert = a.kind == UpdateKind::kInsert;
-            eff[i] = insert ? graph_.insert_arc(a.owner, a.nbr)
-                            : graph_.delete_arc(a.owner, a.nbr);
-            if (eff[i] && stands_for_edge(a)) ++tally[g][insert ? 0 : 1];
-          }
+          apply_group(std::span(arcs).subspan(lo, hi - lo), eff.data() + lo);
+          for (std::size_t i = lo; i < hi; ++i)
+            if (eff[i] && stands_for_edge(arcs[i]))
+              ++tally[g][arcs[i].kind == UpdateKind::kInsert ? 0 : 1];
         },
         /*chunk=*/8);
     for (const auto& [inserts, deletes] : tally) {
@@ -147,6 +145,40 @@ ApplyStats StreamingGraph::apply_canonical(CanonicalBatch cb) {
   ab.graph = &graph_;
   for (StreamObserver* obs : observers_) obs->on_batch(ab);
   return st;
+}
+
+void StreamingGraph::apply_group(std::span<const ArcUpdate> group,
+                                 std::uint8_t* eff) {
+  const vid_t u = group.front().owner;
+  const auto at = static_cast<std::size_t>(u);
+  const auto inserts_arc = [](const ArcUpdate& a) {
+    return a.kind == UpdateKind::kInsert;
+  };
+  std::vector<vid_t>& row = graph_.flat_[at];
+  if (!row.empty() || graph_.is_promoted(u)) {
+    for (std::size_t i = 0; i < group.size(); ++i)
+      eff[i] = inserts_arc(group[i]) ? graph_.insert_arc(u, group[i].nbr)
+                                     : graph_.delete_arc(u, group[i].nbr);
+    return;
+  }
+
+  // An empty adjacency (every row of a preload): each insert is effective
+  // and each delete is not, and the inserted neighbours, ascending, are the
+  // row, written once at its final size.
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    eff[i] = inserts_arc(group[i]);
+    size += eff[i];
+  }
+  if (size == 0) return;
+  std::vector<vid_t> filled;
+  filled.reserve(size);
+  for (std::size_t i = 0; i < group.size(); ++i)
+    if (eff[i]) filled.push_back(group[i].nbr);
+  if (static_cast<eid_t>(size) > graph_.promote_threshold_)
+    graph_.treap_[at] = Treap::from_sorted(filled);
+  else
+    row = std::move(filled);
 }
 
 SnapshotHandle StreamingGraph::publish_snapshot() const {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,9 +89,11 @@ using SnapshotHandle = std::shared_ptr<const EpochSnapshot>;
 /// apply() canonicalizes the batch (see UpdateBatch::canonicalize) and then
 /// applies it with updates grouped per owning vertex: every vertex's
 /// adjacency is touched by exactly one thread, so there are no locks and the
-/// post-batch graph — including internal flat-array order and treap
-/// promotions — is byte-identical at any thread count, and equal to serial
-/// one-edge-at-a-time application of the raw record sequence.  apply()
+/// post-batch graph — row contents, promotions and treap shapes — is
+/// identical at any thread count.  Its edge set, and so its to_csr image,
+/// equals serial one-edge-at-a-time application of the raw record sequence;
+/// a group holds only each arc's last update, so which rows pass the
+/// promote threshold, and become treaps, can differ from that path's.  apply()
 /// consumes its batch and frees each stage's buffer once the next exists:
 /// the records once canonicalized, the arcs once applied, both before an
 /// eager publish allocates the new snapshot.
@@ -167,6 +170,12 @@ class StreamingGraph {
 
   /// Takes the arcs by value, so they are freed when it returns.
   ApplyStats apply_canonical(CanonicalBatch cb);
+
+  /// Apply one owner group (arcs of one owner, ascending by neighbour) and
+  /// set eff[i] iff arc i changed the adjacency.  An empty adjacency is
+  /// written once from the group's inserts, at its final size (a treap past
+  /// the promote threshold); any other takes the arcs one at a time.
+  void apply_group(std::span<const ArcUpdate> group, std::uint8_t* eff);
 
   /// Build the current epoch's CSR and swap it in as the published
   /// snapshot.  Reads graph_, so only the writer (or a quiescent caller)

@@ -1,11 +1,11 @@
 // Heap budgets of the ingest path, from request body to published image:
 // decoding a body allocates its records once, UpdateBatch::canonicalize
 // holds one arc array, an unweighted CSR image holds topology only, one
-// StreamingGraph::apply frees each stage's buffer once the next one exists,
-// and the HTTP server holds a request body once and keeps none of it on an
-// idle keep-alive connection.  Global operator
-// new/delete are replaced with size-tracking versions, which is why this
-// test is its own executable.
+// StreamingGraph::apply frees each stage's buffer once the next one exists
+// and writes each row it fills from empty once, at its final size, and the
+// HTTP server holds a request body once and keeps none of it on an idle
+// keep-alive connection.  Global operator new/delete are replaced with
+// size-tracking versions, which is why this test is its own executable.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include <string>
 #include <utility>
 
+#include "snap/debug/validate.hpp"
 #include "snap/graph/csr_graph.hpp"
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/io/binary_io.hpp"
@@ -210,6 +211,38 @@ TEST(ApplyAlloc, RecordsAndArcsAreFreedOnceTheNextStageExists) {
         << "threads=" << threads << ": peak " << top - before
         << " B; records " << records << ", arcs " << arcs << ", growth "
         << growth << ", image " << image;
+  }
+}
+
+TEST(ApplyAlloc, RowsAreWrittenOnceAtTheirFinalSize) {
+  // Insert only, onto an empty graph: the first 3/4 of the fixed edges give
+  // every vertex 48 neighbours, under the promote threshold, so every row
+  // stays flat.  Each row starts empty and is filled from its owner group
+  // once, in one allocation of exactly its final size.  (All the
+  // edges would give degree 64, a power of two, where push_back doubling
+  // also ends with no slack; at 48 it leaves 16 words per row.)
+  constexpr vid_t kBatch = 3 * kEdges / 4;
+  for (const int threads : {1, 4}) {
+    snap::parallel::ThreadScope scope(threads);
+    StreamingGraph sg(0, /*directed=*/false);
+    sg.set_eager_snapshots(true);
+    UpdateBatch batch;
+    for (vid_t i = 0; i < kBatch; ++i) {
+      const auto [u, v] = edge_at(i);
+      batch.insert(u, v);
+    }
+    ASSERT_EQ(sg.apply(std::move(batch)).applied_inserts,
+              static_cast<std::size_t>(kBatch));
+
+    const auto& rows = snap::debug::Access::flat(sg.graph());
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kVertices));
+    std::size_t slack_rows = 0;
+    for (const auto& row : rows) {
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(2 * kBatch / kVertices));
+      slack_rows += row.capacity() != row.size() ? 1 : 0;
+    }
+    EXPECT_EQ(slack_rows, 0u)
+        << "threads=" << threads << ": rows whose capacity is not their size";
   }
 }
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -361,6 +363,121 @@ TEST_F(IoTest, BinaryV2FormatIsPinned) {
   }
 }
 
+// ------------------------------------------- SNAPB2 checksum: the zero fold
+
+/// An 8-byte word's significant bytes in memory order: the position of its
+/// last non-zero byte plus one (0 for a zero word).  The checksum folds the
+/// bytes after it into one multiplication.
+int live_bytes(const char* word) {
+  int live = 0;
+  for (int b = 0; b < 8; ++b)
+    if (word[b] != 0) live = b + 1;
+  return live;
+}
+
+/// True if some byte before the word's last non-zero one is zero.
+bool has_inner_zero(const char* word) {
+  const int live = live_bytes(word);
+  for (int b = 0; b + 1 < live; ++b)
+    if (word[b] == 0) return true;
+  return false;
+}
+
+TEST(Fnv1a, FoldEqualsByteWiseFnv1aAtEveryLengthAndSplit) {
+  // Words of every shape: 0 to 8 significant bytes, each with and without
+  // zero bytes below the last non-zero one.
+  std::string bytes;
+  for (int live = 0; live <= 8; ++live) {
+    for (const bool holes : {false, true}) {
+      std::string word(8, '\0');
+      for (int b = 0; b < live; ++b)
+        if (!holes || b + 1 == live || b % 2 != 0)
+          word[static_cast<std::size_t>(b)] = static_cast<char>(0x11 * (b + 1));
+      bytes += word;
+    }
+  }
+  // Every start and length, so words straddle the hasher's 8-byte steps and
+  // tails of 1 to 7 bytes go the byte-wise way.
+  for (std::size_t from = 0; from < 8; ++from) {
+    for (std::size_t len = 0; from + len <= bytes.size(); ++len) {
+      io::Fnv1a sum;
+      sum.update(bytes.data() + from, len);
+      ASSERT_EQ(sum.hash(), fnv1a(bytes.substr(from, len)))
+          << "from " << from << " length " << len;
+    }
+  }
+  // Fed in two pieces, split anywhere: the digest does not depend on how
+  // the stream is cut.
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    io::Fnv1a sum;
+    sum.update(bytes.data(), split);
+    sum.update(bytes.data() + split, bytes.size() - split);
+    ASSERT_EQ(sum.hash(), fnv1a(bytes)) << "split at " << split;
+  }
+}
+
+TEST_F(IoTest, BinaryV2ChecksumIsFnv1aForEveryWordShape) {
+  // An unweighted graph whose ids and offsets take 0 to 3 significant
+  // bytes (256 and 65,536 with zero bytes below the top one), and weighted
+  // graphs whose weights are chosen bit patterns, all positive doubles:
+  // the four below, then, for each count k of significant bytes, one
+  // pattern with k non-zero bytes and one with only its top byte set.
+  const vid_t ids[] = {0, 1, 255, 256, 65535, 65536, 69999};
+  EdgeList edges;
+  for (std::size_t i = 0; i < std::size(ids); ++i)
+    for (std::size_t j = i + 1; j < std::size(ids); ++j)
+      edges.push_back({ids[i], ids[j], 1.0});
+  const CSRGraph unweighted = CSRGraph::from_edges(70000, edges, false);
+  ASSERT_FALSE(unweighted.weighted());
+
+  const auto with_weights = [&](const std::vector<std::uint64_t>& patterns) {
+    EdgeList weighted = edges;
+    for (std::size_t e = 0; e < weighted.size(); ++e)
+      weighted[e].w = std::bit_cast<double>(patterns[e % patterns.size()]);
+    return CSRGraph::from_edges(70000, weighted, false);
+  };
+  std::vector<std::uint64_t> every_width;
+  for (int k = 1; k <= 8; ++k) {
+    every_width.push_back(0x0102030405060708ULL >> (8 * (8 - k)));
+    every_width.push_back(0x40ULL << (8 * (k - 1)));
+  }
+  const CSRGraph graphs[] = {
+      unweighted,
+      with_weights({0x1ULL, 0x3FF0000000000000ULL, 0x0000001234567890ULL,
+                    0x0102030405060708ULL}),
+      with_weights(every_width)};
+
+  std::set<int> widths;
+  bool inner_zero = false;
+  for (const CSRGraph& g : graphs) {
+    const auto p = track(path("word_shapes.bin"));
+    io::write_binary(g, p);
+    const std::string bytes = file_bytes(p);
+    ASSERT_EQ((bytes.size() - 48) % 8, 0u);
+    std::uint64_t checksum = 0;
+    std::memcpy(&checksum, bytes.data() + 40, sizeof(checksum));
+    EXPECT_EQ(checksum, fnv1a(bytes.substr(48)))
+        << "weighted=" << g.weighted();
+    for (std::size_t at = 48; at < bytes.size(); at += 8) {
+      widths.insert(live_bytes(bytes.data() + at));
+      inner_zero |= has_inner_zero(bytes.data() + at);
+    }
+
+    const CSRGraph back = io::read_binary(p);
+    ASSERT_EQ(back.weighted(), g.weighted());
+    ASSERT_EQ(back.edges().size(), g.edges().size());
+    for (std::size_t e = 0; e < g.edges().size(); ++e) {
+      EXPECT_EQ(back.edges()[e].u, g.edges()[e].u);
+      EXPECT_EQ(back.edges()[e].v, g.edges()[e].v);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.edges()[e].w),
+                std::bit_cast<std::uint64_t>(g.edges()[e].w));
+    }
+  }
+  // The payloads reach every word shape the fold distinguishes.
+  EXPECT_EQ(widths, (std::set<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_TRUE(inner_zero);
+}
+
 TEST_F(IoTest, BinaryV2ChecksumCorruptionRejected) {
   gen::RmatParams rp;
   rp.scale = 8;
@@ -435,6 +552,53 @@ TEST_F(IoTest, BinaryLegacyV1StillReads) {
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_DOUBLE_EQ(g.total_edge_weight(), 3.5);
+}
+
+TEST_F(IoTest, BinaryLegacyV1RefusesWhatItCannotBuild) {
+  // SNAPB1 stores no per-vertex array, so its header's n is checked on its
+  // own (at most 2^32) and every endpoint against it; each refusal is a
+  // runtime_error, never bad_alloc or from_edges' out_of_range.
+  const auto legacy = [&](std::int64_t n, std::int64_t u, std::int64_t v) {
+    const auto p = track(path("legacy_bad.bin"));
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    const char magic[8] = {'S', 'N', 'A', 'P', 'B', '1', '\n', '\0'};
+    out.write(magic, 8);
+    const std::int64_t m = 1;
+    out.write(reinterpret_cast<const char*>(&n), 8);
+    out.write(reinterpret_cast<const char*>(&m), 8);
+    const char directed_and_pad[8] = {0};
+    out.write(directed_and_pad, 8);
+    const std::int64_t e[2] = {u, v};
+    const double w = 1.0;
+    out.write(reinterpret_cast<const char*>(e), 16);
+    out.write(reinterpret_cast<const char*>(&w), 8);
+    return p;
+  };
+  const auto refused = [](const std::string& p, const char* why) {
+    try {
+      (void)io::read_binary(p);
+      ADD_FAILURE() << "accepted a file with " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  refused(legacy(std::int64_t{1} << 40, 0, 1), "bad header");
+  refused(legacy((std::int64_t{1} << 32) + 2, 0, 1), "bad header");
+  refused(legacy(3, 0, 3), "outside [0, n)");
+  refused(legacy(3, -1, 2), "outside [0, n)");
+  EXPECT_EQ(io::read_binary(legacy(3, 0, 2)).num_edges(), 1);
+
+  // A SNAPB2 file whose magic reads SNAPB1 hands its version and flags
+  // words to the legacy reader as n: 2 + (flags << 32), past the cap.
+  const auto p = track(path("v2_as_v1.bin"));
+  io::write_binary(gen::karate_club(), p);
+  {
+    std::fstream f(p, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(5);
+    f.put('1');
+  }
+  refused(p, "bad header");
 }
 
 TEST_F(IoTest, BinaryV2EmptyAndEdgelessGraphs) {

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "snap/debug/validate.hpp"
 #include "snap/ds/union_find.hpp"
 #include "snap/gen/generators.hpp"
 #include "snap/graph/csr_graph.hpp"
@@ -260,6 +262,139 @@ TEST(StreamDifferential, InsertOnlyFromEmpty) {
     run_differential(base, batches, t, /*promote_threshold=*/128,
                      /*check_observers=*/true);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Owner groups at the apply's boundaries.  Vertex 250 starts isolated and
+// takes threshold + 5 neighbours in one batch (its row is filled past the
+// promote threshold by one group), then a group of present inserts, absent
+// deletes and effective updates of both kinds; vertex 251's row is filled
+// from empty, shrinks to empty in one group and regrows from empty, with an
+// absent delete in both filling groups; vertex 255's row, filled from
+// empty, takes a group of deletes and inserts (one present) that keeps its
+// size and then one that grows it; self loops and both orientations of one
+// edge appear in the same batch.  Every batch must leave the image and the
+// ApplyStats the one-edge oracle gives.
+std::vector<std::vector<UpdateRecord>> boundary_batches(eid_t threshold,
+                                                        std::uint64_t seed) {
+  const auto hub_span = static_cast<vid_t>(threshold + 5);
+  std::vector<std::vector<UpdateRecord>> batches(3);
+  std::uint64_t t = 0;
+  const auto add = [&](std::size_t b, vid_t u, vid_t v, UpdateKind kind) {
+    batches[b].push_back({u, v, t++, kind});
+  };
+  const auto ins = UpdateKind::kInsert;
+  const auto del = UpdateKind::kDelete;
+  SplitMix64 rng(seed);
+  const auto random_mix = [&](std::size_t b) {
+    for (int i = 0; i < 300; ++i)
+      add(b, static_cast<vid_t>(rng.next_bounded(250)),
+          static_cast<vid_t>(rng.next_bounded(250)),
+          rng.next_bounded(3) == 0 ? del : ins);
+  };
+
+  for (vid_t v = 0; v < hub_span; ++v) add(0, 250, v, ins);
+  add(0, 251, 252, ins);
+  add(0, 251, 253, ins);
+  add(0, 251, 254, del);  // absent, in a group on an empty row
+  for (vid_t v = 1; v <= 5; ++v) add(0, 255, v, ins);
+  add(0, 5, 5, ins);     // self loop
+  add(0, 9, 9, del);     // absent self loop
+  add(0, 10, 20, ins);   // both orientations of one edge...
+  add(0, 20, 10, ins);
+  add(0, 11, 21, ins);   // ...and an insert undone by its mirror's delete
+  add(0, 21, 11, del);
+  random_mix(0);
+
+  for (vid_t v = 0; v < hub_span; v += 3) add(1, 250, v, ins);  // present
+  for (vid_t v = 200; v < 210; ++v) add(1, 250, v, ins);        // absent
+  for (vid_t v = 140; v < 146; ++v) add(1, 250, v, del);        // absent
+  for (vid_t v = 1; v < hub_span; v += 5) add(1, v, 250, del);  // present
+  add(1, 251, 252, del);  // 251's row shrinks to empty
+  add(1, 253, 251, del);
+  add(1, 251, 254, del);  // absent
+  add(1, 5, 5, del);
+  add(1, 7, 7, ins);
+  add(1, 255, 2, del);  // 255: two out, two in, same size
+  add(1, 255, 4, del);
+  add(1, 255, 0, ins);
+  add(1, 255, 6, ins);
+  add(1, 255, 3, ins);  // present
+  random_mix(1);
+
+  add(2, 251, 260, ins);  // regrows from empty
+  add(2, 251, 252, ins);
+  add(2, 251, 261, del);  // absent
+  add(2, 255, 7, ins);  // 255's row grows
+  add(2, 255, 9, ins);
+  add(2, 255, 1, del);
+  for (vid_t v = 0; v < hub_span; ++v) add(2, 250, v, del);
+  random_mix(2);
+  return batches;
+}
+
+std::set<std::pair<vid_t, vid_t>> edge_set(const CSRGraph& g) {
+  std::set<std::pair<vid_t, vid_t>> out;
+  for (const Edge& e : g.edges()) out.insert({e.u, e.v});
+  return out;
+}
+
+std::size_t count_missing(const std::set<std::pair<vid_t, vid_t>>& from,
+                          const std::set<std::pair<vid_t, vid_t>>& in) {
+  std::size_t n = 0;
+  for (const auto& e : from) n += in.count(e) == 0 ? 1 : 0;
+  return n;
+}
+
+TEST(StreamDifferential, GroupBoundariesMatchOneEdgeOracle) {
+  // An Erdős–Rényi graph on 0..249; 250..299 start isolated.
+  const CSRGraph er = gen::erdos_renyi(250, 800, false, 19);
+  const CSRGraph base = CSRGraph::from_edges(300, er.edges().to_list(), false);
+  for (const eid_t threshold : {2, 8, 128}) {
+    const auto batches = boundary_batches(threshold, 23);
+    for (const int threads : {1, 2, 4, 8}) {
+      const std::string what = "threshold " + std::to_string(threshold) +
+                                " threads " + std::to_string(threads);
+      SCOPED_TRACE(what);
+      StreamingGraph sg(DynamicGraph::from_csr(base, threshold));
+      DynamicGraph oracle = DynamicGraph::from_csr(base, threshold);
+      parallel::ThreadScope scope(threads);
+      for (std::size_t b = 0; b < batches.size(); ++b) {
+        const auto before = edge_set(oracle.to_csr());
+        for (const UpdateRecord& r : batches[b]) {
+          if (r.kind == UpdateKind::kInsert)
+            oracle.insert_edge(r.u, r.v);
+          else
+            oracle.delete_edge(r.u, r.v);
+        }
+        const CSRGraph want = oracle.to_csr();
+        const auto after = edge_set(want);
+
+        UpdateBatch batch;
+        batch.assign(batches[b]);
+        const std::size_t arcs = batch.canonicalize(false).arcs.size();
+        const stream::ApplyStats st = sg.apply(std::move(batch));
+        EXPECT_EQ(st.raw_records, batches[b].size());
+        EXPECT_EQ(st.canonical_arcs, arcs);
+        EXPECT_EQ(st.applied_inserts, count_missing(after, before))
+            << "batch " << b;
+        EXPECT_EQ(st.applied_deletes, count_missing(before, after))
+            << "batch " << b;
+        const debug::ValidationReport report = debug::validate(sg.graph());
+        ASSERT_TRUE(report.ok()) << report.to_string();
+        expect_same_csr(sg.graph().to_csr(), want,
+                        ("batch " + std::to_string(b)).c_str());
+        if (::testing::Test::HasFatalFailure()) return;
+
+        // The batches reach the boundaries they are named for.
+        if (b == 0) {
+          EXPECT_TRUE(sg.graph().is_promoted(250)) << "no upward crossing";
+        }
+        if (b == 1) {
+          EXPECT_EQ(sg.graph().degree(251), 0) << "row 251 not emptied";
+        }
+      }
+    }
   }
 }
 

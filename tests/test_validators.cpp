@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "snap/community/louvain.hpp"
@@ -140,6 +141,22 @@ TEST(ValidateDynamicGraph, MissingMirrorArcCaught) {
   const ValidationReport r = debug::validate(d);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(mentions(r, "mirror") || mentions(r, "asym")) << r.to_string();
+}
+
+TEST(ValidateDynamicGraph, UnsortedFlatRowCaught) {
+  // Same neighbour set, wrong order: only the ascending-row check sees it
+  // (the mirror check scans rows linearly and still finds every arc).
+  DynamicGraph d(4, /*directed=*/false);
+  d.insert_edge(0, 1);
+  d.insert_edge(0, 2);
+  d.insert_edge(0, 3);
+  auto& row = Access::mutable_flat(d)[0];
+  ASSERT_EQ(row, (std::vector<vid_t>{1, 2, 3}));
+  ASSERT_TRUE(debug::validate(d).ok());
+  std::swap(row[0], row[2]);
+  const ValidationReport r = debug::validate(d);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(mentions(r, "ascending")) << r.to_string();
 }
 
 // ------------------------------------------------------------ UnionFind
