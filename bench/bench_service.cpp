@@ -17,8 +17,10 @@
 //   preload:*    : one body holding every edge, in the shape `snap-cli serve
 //                  --in` renders, handled by a fresh service — serial (one
 //                  thread) and parallel (every thread); decode:* times
-//                  server::decode_ingest alone on the same body, and
-//                  preload_records counts its records (an exact gate).
+//                  server::decode_ingest alone on the same body,
+//                  canonicalize:* UpdateBatch::canonicalize alone on its
+//                  decoded batch, and preload_records counts its records
+//                  (an exact gate).
 //   decode_sweep : decode_ingest on flat bodies of 64 KiB to 16 MiB at 1 and
 //                  4 threads — the data behind kParallelDecodeCutoff.
 //
@@ -310,11 +312,26 @@ std::size_t run_preload(const std::string& dataset, const CSRGraph& base,
     snap::parallel::ThreadScope scope(threads);
     report_reps(phase, threads, time_decode(body));
   };
+  snap::stream::UpdateBatch batch;
+  std::string err;
+  if (!snap::server::decode_ingest(body, &batch, &err)) {
+    std::fprintf(stderr, "bench_service: decode: %s\n", err.c_str());
+    std::exit(1);
+  }
+  const auto canonicalize = [&](const char* phase, int threads) {
+    snap::parallel::ThreadScope scope(threads);
+    snap::stream::CanonicalBatch cb;
+    report_reps(phase, threads,
+                time_reps([&] { cb = snap::stream::CanonicalBatch(); },
+                          [&] { cb = batch.canonicalize(/*directed=*/false); }));
+  };
   const int nt = snap::parallel::num_threads();
   preload("preload:serial", 1);
   preload("preload:parallel", nt);
   decode("decode:serial", 1);
   decode("decode:parallel", nt);
+  canonicalize("canonicalize:serial", 1);
+  canonicalize("canonicalize:parallel", nt);
   report->record_count(dataset, {}, 1, "preload_records",
                        static_cast<std::int64_t>(records));
   return records;

@@ -155,6 +155,11 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
              std::to_string(h.payload_bytes) + " payload bytes, file holds " +
              std::to_string(held) + ")",
          path);
+  if (h.payload_bytes < held)
+    fail("header payload size " + std::to_string(h.payload_bytes) +
+             " disagrees with the " + std::to_string(held) +
+             " bytes after the header (bytes after the payload)",
+         path);
   const auto n = static_cast<std::size_t>(h.n);
   const auto m = static_cast<std::size_t>(h.m);
   const std::size_t arcs = directed ? m : 2 * m;

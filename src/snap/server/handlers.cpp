@@ -232,20 +232,25 @@ using Records = std::vector<stream::UpdateRecord>;
 /// The shortest record decode_ingest accepts: {"u":0,"v":0,"op":"insert"}.
 constexpr std::size_t kMinRecordBytes = 27;
 
-/// How many good records `text` can hold: each is at least kMinRecordBytes
-/// long and closes with its own '}'.  The '}' count is exact for flat
-/// records; the byte count caps it for a body of "}}}}" or "{},{},{}".
-std::size_t record_bound(std::string_view text) {
-  const auto braces =
-      static_cast<std::size_t>(std::count(text.begin(), text.end(), '}'));
-  return std::min(braces, text.size() / kMinRecordBytes);
+std::size_t count_braces(std::string_view text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '}'));
+}
+
+/// How many good records a text of `bytes` bytes holding `braces` '}' bytes
+/// can hold: each is at least kMinRecordBytes long and closes with its own
+/// '}'.  The '}' count is exact for flat records; the byte count caps it
+/// for a body of "}}}}" or "{},{},{}".
+std::size_t record_bound(std::size_t braces, std::size_t bytes) {
+  return std::min(braces, bytes / kMinRecordBytes);
 }
 
 /// The whole-document decode: every body the chunked path does not take,
 /// and the one writer of 400 messages.  Returns the message, or "" with
-/// `*records` holding the batch.
+/// `*records` holding the batch.  A chunked attempt that failed leaves
+/// `*records` sized to the body's bound, and this pass reuses it.
 std::string decode_document(std::string_view body, Records* records) {
-  *records = Records(record_bound(body));
+  if (records->empty())
+    *records = Records(record_bound(count_braces(body), body.size()));
   IngestSink sink(records->data(), records->size(),
                   IngestSink::Start::kDocument);
   std::string err;
@@ -306,10 +311,11 @@ std::size_t guess_start(std::string_view body, std::size_t lo,
 /// The fast path, for bodies shaped {"updates":[...]}: the array is cut at
 /// equal byte offsets into chunks that start on guessed record boundaries,
 /// and each chunk is parsed on the team straight into its own slot range of
-/// one records array, sized before the parse.  False, with `*records`
-/// empty, for any other shape or when a chunk fails its check; the caller
-/// then decodes the whole document.  Below kParallelDecodeCutoff bytes, or
-/// on one thread, the array is one chunk and nothing forks.
+/// one records array, sized before the parse.  False for any other shape,
+/// with `*records` empty, or when a chunk fails its check, with `*records`
+/// sized to the whole body's bound; the caller then decodes the whole
+/// document into the same array.  Below kParallelDecodeCutoff bytes, or on
+/// one thread, the array is one chunk and nothing forks.
 bool decode_chunked(std::string_view body, Records* records) {
   std::size_t open = 0;
   std::size_t close = 0;
@@ -332,14 +338,23 @@ bool decode_chunked(std::string_view body, Records* records) {
   start.push_back(close);
 
   // Chunk c writes only into slots [slot[c], slot[c + 1]).  For flat
-  // records every '}' closes one record, so the array has its final size.
-  std::vector<std::size_t> slot(chunks + 1, 0);
+  // records every '}' closes one record, so the chunks' bounds are exact.
+  std::vector<std::size_t> braces(chunks, 0);
   parallel::parallel_for(chunks, [&](std::size_t c) {
-    slot[c + 1] =
-        record_bound(body.substr(start[c], start[c + 1] - start[c]));
+    braces[c] = count_braces(body.substr(start[c], start[c + 1] - start[c]));
   });
-  for (std::size_t c = 0; c < chunks; ++c) slot[c + 1] += slot[c];
-  *records = Records(slot[chunks]);
+  std::vector<std::size_t> slot(chunks + 1, 0);
+  for (std::size_t c = 0; c < chunks; ++c)
+    slot[c + 1] =
+        slot[c] + record_bound(braces[c], start[c + 1] - start[c]);
+  // One array serves both paths.  The array's '}' bytes bound the records
+  // of either parse (the root object's '}' closes none), and
+  // min(their sum, body / 27) is at least the chunks' sum, so a failed
+  // attempt hands the array to decode_document; for flat records it is
+  // exact.
+  std::size_t array_braces = 0;
+  for (const std::size_t b : braces) array_braces += b;
+  *records = Records(record_bound(array_braces, body.size()));
 
   // Chunk c must stop exactly on chunk c + 1's start, and the last chunk on
   // the ']'.  Then, by induction from the first chunk (which starts just
@@ -362,10 +377,7 @@ bool decode_chunked(std::string_view body, Records* records) {
         used[c] = sink.size();
       },
       /*chunk=*/1);
-  if (std::find(good.begin(), good.end(), 0) != good.end()) {
-    *records = Records();
-    return false;
-  }
+  if (std::find(good.begin(), good.end(), 0) != good.end()) return false;
 
   // Close up the gaps left to right (a run never moves right, and one
   // already in place is skipped: std::move must not target its source).

@@ -70,10 +70,13 @@ class UpdateBatch {
 
   /// Parallel canonicalization as one sample sort: the scatter pass
   /// (parallel::bucket_scatter) expands records into arcs straight into the
-  /// one output array, bucketed on (owner, nbr); each bucket is sorted by
-  /// (owner, nbr, seq) and keeps the last writer of every arc in place, and
-  /// the kept slices are closed up.  The result is a pure function of the
-  /// record sequence, so it is identical at every thread count.  Throws
+  /// one output array, bucketed on (owner, nbr) and, with the owner as its
+  /// sub-key, cut into runs of whole owners that keep seq order.  Each
+  /// bucket sorts its runs by (owner, nbr, seq) — a sortedness check, then
+  /// insertion sort for a short run or std::sort for a long one — and keeps
+  /// the last writer of every arc in place, and the kept slices are closed
+  /// up.  The result is a pure function of the record sequence, so it is
+  /// identical at every thread count.  Throws
   /// std::length_error for a batch of 2^32 or more records, whose arrival
   /// index would not fit ArcUpdate::seq.
   [[nodiscard]] CanonicalBatch canonicalize(bool directed) const;

@@ -241,11 +241,11 @@ std::vector<T> parallel_pack(std::size_t n, Keep&& keep, Make&& make) {
   return out;
 }
 
-/// Parallel max-reduction of f(i) over [0, n); returns `identity` for n = 0.
-/// Per-thread partials are combined in thread order (deterministic).
+/// Parallel max-reduction of f(i) over [0, n) on a team of nt threads;
+/// returns `identity` for n = 0.  Per-thread partials are combined in
+/// thread order (deterministic).
 template <typename T, typename Index, typename F>
-T parallel_reduce_max(Index n, F&& f, T identity = T{}) {
-  const int nt = num_threads();
+T parallel_reduce_max(int nt, Index n, F&& f, T identity) {
   if (nt <= 1 || n <= 1) {
     T best = identity;
     for (Index i = 0; i < n; ++i) best = std::max(best, f(i));
@@ -262,6 +262,13 @@ T parallel_reduce_max(Index n, F&& f, T identity = T{}) {
   T best = identity;
   for (const T& p : partial) best = std::max(best, p);
   return best;
+}
+
+/// parallel_reduce_max on every thread.
+template <typename T, typename Index, typename F>
+T parallel_reduce_max(Index n, F&& f, T identity = T{}) {
+  return parallel_reduce_max<T>(num_threads(), n, std::forward<F>(f),
+                                identity);
 }
 
 namespace detail {
@@ -281,38 +288,72 @@ inline std::size_t sample_sort_buckets(std::size_t n, int nt) {
                   n / (detail::kParallelSortCutoff / 4)));
 }
 
-/// Elements grouped by bucket: bucket b is items[begin[b], begin[b + 1]).
+/// Elements grouped by bucket, and each bucket by sub-bucket: sub-bucket k
+/// is items[begin[k], begin[k + 1]), and bucket b is sub-buckets
+/// [first[b], first[b + 1]).  Without a sub-key a bucket is one sub-bucket,
+/// so begin[b] starts bucket b.
 template <typename T>
 struct Buckets {
   std::vector<T> items;
   std::vector<std::size_t> begin;
+  std::vector<std::size_t> first;
+};
+
+/// The sub-key of a bucket_scatter that has none: every bucket is one
+/// sub-bucket.
+struct NoSubKey {
+  template <typename T>
+  std::uint64_t operator()(const T&) const {
+    return 0;
+  }
 };
 
 /// The scatter half of the sample sort, shared by parallel_sort and batch
 /// canonicalization.  Input i of [0, n) produces the elements it hands to
 /// `put` in `emit(i, put)` — one each for a sort, more for an expansion.
 /// Deterministic oversample (the elements of evenly spaced inputs, no RNG)
-/// -> up to nb - 1 splitters -> per-thread bucket histograms over
-/// contiguous input blocks -> one serial scan of the nt x nb histogram
-/// matrix -> scatter into bucket slices of one output array, which is the
-/// only O(n) allocation.  An element's bucket is the number of splitters
-/// not ordered after it by `comp`, so elements comparing equal share a
-/// bucket; with nb = 1 everything lands in bucket 0.
+/// -> up to nb - 1 splitters -> per-thread sub-bucket histograms over
+/// contiguous input blocks -> one serial scan of the nt x S histogram
+/// matrix -> scatter into sub-bucket slices of one output array, which is
+/// the only O(n) allocation.  An element's bucket is the number of
+/// splitters not ordered after it by `comp`, so elements comparing equal
+/// share a bucket; with nb = 1 everything lands in bucket 0.
+///
+/// The optional sub-key `key` maps an element to an unsigned integer that
+/// `comp` orders by first, and no key exceeds `key_max`.  Bucket b's keys
+/// then lie between its splitters' keys (0 and key_max at the ends), and
+/// that range is cut into D_b sub-buckets by the digit
+/// (key - lo_b) >> shift_b, with the least shift that keeps D_b within an
+/// equal share of the budget: the nt histograms of S = sum D_b offsets take
+/// at most 1/16 of the output array's bytes, as the sample predicts them.
+/// They are freed on return.  The S + 1 bounds returned, 1/nt of them, are
+/// allocated while they live, so the scatter's peak scratch is (nt + 1) x S
+/// offsets: at most 1/16 + 1/(16 nt) of the output, 1/8 at one thread.
+/// Both passes walk the same contiguous input blocks, and thread t's slice
+/// of a sub-bucket precedes thread t + 1's, so the scatter is stable: a
+/// sub-bucket holds its elements in emission order.  Without a sub-key
+/// every bucket is one sub-bucket (S = nb).
 ///
 /// `emit` runs for each sampled input, then twice for every input (count,
 /// then scatter) on nt threads, and must be safe to call concurrently for
 /// distinct i.  Only the scatter pass takes ownership of what `put`
 /// receives, so an emit may hand it `std::move` of an input element.
-template <typename T, typename Emit, typename Compare>
+template <typename T, typename Emit, typename Compare,
+          typename Key = NoSubKey>
 Buckets<T> bucket_scatter(std::size_t n, int nt, std::size_t nb, Emit&& emit,
-                          Compare comp) {
+                          Compare comp, Key key = {},
+                          std::uint64_t key_max = 0) {
+  // The sample gives the splitters, and predicts how many elements the
+  // inputs emit: the histograms' budget is a share of that output.
   std::vector<T> splitters;
-  if (nb > 1) {
+  std::size_t predicted = 0;
+  {
     const std::size_t s = std::min(n, nb * 32);
     std::vector<T> sample;
     sample.reserve(s);
     for (std::size_t k = 0; k < s; ++k)
       emit(k * n / s, [&](const T& x) { sample.push_back(x); });
+    if (s > 0) predicted = n * sample.size() / s;
     std::sort(sample.begin(), sample.end(), comp);
     for (std::size_t j = 1; j < nb && !sample.empty(); ++j)
       splitters.push_back(sample[j * sample.size() / nb]);
@@ -323,43 +364,67 @@ Buckets<T> bucket_scatter(std::size_t n, int nt, std::size_t nb, Emit&& emit,
         std::upper_bound(splitters.begin(), splitters.end(), x, comp) -
         splitters.begin());
   };
+
+  // Cut each bucket's key range into at most `cap` digits, so the nt
+  // histograms of S offsets take at most 1/16 of the output's bytes.
+  Buckets<T> out;
+  out.first.resize(buckets + 1);
+  std::vector<std::uint64_t> lo(buckets);
+  std::vector<unsigned> shift(buckets);
+  const std::uint64_t cap = std::max<std::size_t>(
+      1, predicted * sizeof(T) /
+             (16 * sizeof(std::size_t) * static_cast<std::size_t>(nt)) /
+             buckets);
+  std::size_t subs = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    lo[b] = b == 0 ? 0 : key(splitters[b - 1]);
+    const std::uint64_t range =
+        (b + 1 == buckets ? key_max : key(splitters[b])) - lo[b];
+    while (shift[b] < 63 && (range >> shift[b]) >= cap) ++shift[b];
+    out.first[b] = subs;
+    subs += static_cast<std::size_t>(range >> shift[b]) + 1;
+  }
+  out.first[buckets] = subs;
+  const auto sub_of = [&](const T& x) {
+    const std::size_t b = bucket_of(x);
+    return out.first[b] +
+           static_cast<std::size_t>((key(x) - lo[b]) >> shift[b]);
+  };
   const auto block = [&](int t) {
     return n * static_cast<std::size_t>(t) / static_cast<std::size_t>(nt);
   };
 
-  // Pass 1: per-thread bucket histograms over contiguous input blocks.
-  std::vector<std::size_t> slot(static_cast<std::size_t>(nt) * buckets, 0);
+  // Pass 1: per-thread sub-bucket histograms over contiguous input blocks.
+  std::vector<std::size_t> slot(static_cast<std::size_t>(nt) * subs, 0);
   run_team(nt, [&](int t) {
-    std::size_t* c = slot.data() + static_cast<std::size_t>(t) * buckets;
+    std::size_t* c = slot.data() + static_cast<std::size_t>(t) * subs;
     const std::size_t hi = block(t + 1);
     for (std::size_t i = block(t); i < hi; ++i)
-      emit(i, [&](const T& x) { ++c[bucket_of(x)]; });
+      emit(i, [&](const T& x) { ++c[sub_of(x)]; });
   });
 
-  // Scan the matrix bucket-major, in place: slot[t][b] becomes where thread
-  // t's slice of bucket b starts.
-  Buckets<T> out;
-  out.begin.resize(buckets + 1);
+  // Scan the matrix sub-bucket-major, in place: slot[t][k] becomes where
+  // thread t's slice of sub-bucket k starts.
+  out.begin.resize(subs + 1);
   std::size_t run = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    out.begin[b] = run;
+  for (std::size_t k = 0; k < subs; ++k) {
+    out.begin[k] = run;
     for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t) {
-      const std::size_t count = slot[t * buckets + b];
-      slot[t * buckets + b] = run;
+      const std::size_t count = slot[t * subs + k];
+      slot[t * subs + k] = run;
       run += count;
     }
   }
-  out.begin[buckets] = run;
+  out.begin[subs] = run;
 
-  // Pass 2: scatter into bucket slices (threads own disjoint slices).
+  // Pass 2: scatter into sub-bucket slices (threads own disjoint slices).
   out.items.resize(run);
   run_team(nt, [&](int t) {
-    std::size_t* pos = slot.data() + static_cast<std::size_t>(t) * buckets;
+    std::size_t* pos = slot.data() + static_cast<std::size_t>(t) * subs;
     const std::size_t hi = block(t + 1);
     for (std::size_t i = block(t); i < hi; ++i)
       emit(i, [&](auto&& x) {
-        const std::size_t b = bucket_of(x);
-        out.items[pos[b]++] = std::forward<decltype(x)>(x);
+        out.items[pos[sub_of(x)]++] = std::forward<decltype(x)>(x);
       });
   });
   return out;

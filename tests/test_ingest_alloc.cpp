@@ -1,11 +1,12 @@
 // Heap budgets of the ingest path, from request body to published image:
-// decoding a body allocates its records once, UpdateBatch::canonicalize
-// holds one arc array, an unweighted CSR image holds topology only, one
-// StreamingGraph::apply frees each stage's buffer once the next one exists
-// and writes each row it fills from empty once, at its final size, and the
-// HTTP server holds a request body once and keeps none of it on an idle
-// keep-alive connection.  Global operator new/delete are replaced with
-// size-tracking versions, which is why this test is its own executable.
+// decoding a body allocates its records once, rejected or not,
+// UpdateBatch::canonicalize holds one arc array, an unweighted CSR image
+// holds topology only, one StreamingGraph::apply frees each stage's buffer
+// once the next one exists and writes each row it fills from empty once, at
+// its final size, and the HTTP server holds a request body once and keeps
+// none of it on an idle keep-alive connection.  Global operator new/delete
+// are replaced with size-tracking versions, which is why this test is its
+// own executable.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,8 @@ namespace {
 
 std::atomic<std::size_t> g_live{0};
 std::atomic<std::size_t> g_peak{0};
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+std::atomic<std::size_t> g_big{0};  ///< allocations of at least 1 MiB
 
 // Each block carries its size in a header, so delete knows what to subtract.
 constexpr std::size_t kHeader = alignof(std::max_align_t);
@@ -41,6 +44,7 @@ void* tracked_alloc(std::size_t n) {
   void* raw = std::malloc(n + kHeader);
   if (raw == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(raw) = n;
+  if (n >= kMiB) g_big.fetch_add(1, std::memory_order_relaxed);
   const std::size_t now = g_live.fetch_add(n, std::memory_order_relaxed) + n;
   std::size_t peak = g_peak.load(std::memory_order_relaxed);
   while (peak < now && !g_peak.compare_exchange_weak(
@@ -76,9 +80,8 @@ using snap::stream::StreamingGraph;
 using snap::stream::UpdateBatch;
 using snap::stream::UpdateRecord;
 
-constexpr std::size_t kMiB = std::size_t{1} << 20;
-
 std::size_t live() { return g_live.load(std::memory_order_relaxed); }
+std::size_t big_allocations() { return g_big.load(std::memory_order_relaxed); }
 std::size_t peak() { return g_peak.load(std::memory_order_relaxed); }
 /// Start a peak measurement at the current live heap; returns it.
 std::size_t reset_peak() {
@@ -116,7 +119,7 @@ TEST(CanonicalizeAlloc, PeakIsOneArcArray) {
   const std::size_t arc_array = 2 * kEdges * sizeof(ArcUpdate);
   constexpr std::size_t kSlack = kMiB;
 
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 4, 8}) {
     snap::parallel::ThreadScope scope(threads);
     (void)batch.canonicalize(/*directed=*/false);  // warm-up
 
@@ -304,6 +307,26 @@ TEST(DecodeAlloc, EmptyRecordsCannotInflateTheArray) {
     EXPECT_LE(top - before, budget)
         << "threads=" << threads << ": decoding peaked " << top - before
         << " B above the live heap for a " << body.size() << " B body";
+  }
+}
+
+TEST(DecodeAlloc, RejectedBodyAllocatesItsBoundOnce) {
+  // The chunked attempt and the whole-document pass that writes the 400
+  // share one records array, sized to the whole body's bound: a rejected
+  // 8 MiB body of "{}" records allocates ~9.5 MiB once, not once per path.
+  const std::size_t target = 8 * kMiB;
+  std::string body = "{\"updates\":[{}";
+  while (body.size() + 5 < target) body += ",{}";
+  body += "]}";
+  for (const int threads : {1, 4}) {
+    snap::parallel::ThreadScope scope(threads);
+    UpdateBatch batch;
+    std::string err;
+    const std::size_t before = big_allocations();
+    EXPECT_FALSE(snap::server::decode_ingest(body, &batch, &err));
+    EXPECT_EQ(big_allocations() - before, 1u)
+        << "threads=" << threads << ": allocations of at least 1 MiB";
+    EXPECT_EQ(err, "updates[0] needs non-negative integer \"u\" and \"v\"");
   }
 }
 

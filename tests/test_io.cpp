@@ -700,6 +700,24 @@ TEST_F(IoTest, BinaryV2OversizedHeaderRejectedBeforeAllocating) {
   expect_rejected(p, "truncated");
 }
 
+TEST_F(IoTest, BinaryV2TrailingBytesRejected) {
+  // The checksum covers the payload only, so bytes appended after it leave
+  // the checksum intact; the header's payload size must then equal what
+  // follows the header, or the file is refused.
+  const auto p = track(path("trailing.bin"));
+  for (const std::size_t extra : {std::size_t{34}, std::size_t{1}}) {
+    SCOPED_TRACE(::testing::Message() << extra << " bytes appended");
+    io::write_binary(gen::karate_club(), p);
+    {
+      std::ofstream out(p, std::ios::binary | std::ios::app);
+      out << std::string(extra, 'x');
+    }
+    expect_rejected(p, "payload size");
+  }
+  io::write_binary(gen::karate_club(), p);
+  EXPECT_EQ(io::read_binary(p).num_edges(), 78);
+}
+
 TEST_F(IoTest, BinaryV2NonMonotoneOffsetsRejected) {
   // A checksum proves integrity, not validity: one offset out of order, with
   // the first and last offsets intact and the checksum recomputed.

@@ -136,6 +136,8 @@ UpdateBatch oracle_batch(int kind, std::size_t size, std::uint64_t seed) {
     return static_cast<vid_t>(rng.next_bounded(bound));
   };
   UpdateBatch b;
+  vid_t owner = 0;  // shape 5: the owner being rendered, its last neighbour
+  vid_t last = 0;
   for (std::size_t i = 0; i < size; ++i) {
     vid_t u = 0;
     vid_t v = 0;
@@ -156,6 +158,32 @@ UpdateBatch oracle_batch(int kind, std::size_t size, std::uint64_t seed) {
       case 3:  // a self loop every 17th record
         u = pick(2000);
         v = i % 17 == 0 ? u : pick(2000);
+        break;
+      case 5:  // a preload: owners ascending, each owner's neighbours (at
+               // most the owner) ascending, and every 250th record repeats
+               // or deletes one of the 200 before it
+        if (i % 250 == 249) {
+          const stream::UpdateRecord& r = b.records()[i - 1 - pick(200)];
+          u = r.u;
+          v = r.v;
+        } else {
+          last += 1 + pick(24);
+          if (last > owner) {
+            owner += 1 + pick(2);
+            last = std::min(pick(4), owner);
+          }
+          u = owner;
+          v = last;
+          erase = false;
+        }
+        break;
+      case 6:  // dense ids in shuffled order: about one owner per run
+        u = pick(1 << 13);
+        v = pick(1 << 13);
+        break;
+      case 7:  // ids spread up to 2^62: owner ranges take the widest shifts
+        u = (pick(512) << 53) + pick(3);
+        v = i % 97 == 0 ? (vid_t{1} << 62) - 1 : (pick(512) << 53) + pick(3);
         break;
       default:  // one edge toggled 10,000 times, in both orientations
         if (i < 10000) {
@@ -178,7 +206,7 @@ UpdateBatch oracle_batch(int kind, std::size_t size, std::uint64_t seed) {
 
 TEST(UpdateBatch, CanonicalizeMatchesSerialOracle) {
   constexpr std::size_t kCutoff = std::size_t{1} << 14;
-  for (int kind = 0; kind < 5; ++kind) {
+  for (int kind = 0; kind < 8; ++kind) {
     for (const std::size_t size :
          {std::size_t{0}, std::size_t{1}, kCutoff - 1, kCutoff, kCutoff + 1,
           std::size_t{100000}}) {

@@ -254,6 +254,107 @@ TEST(ParallelSort, TotalOrderKeyIsThreadCountInvariant) {
     EXPECT_EQ(results[i], results[0]) << "thread config " << i;
 }
 
+// --- bucket_scatter's sub-key: stable runs of whole keys, in key order ---
+
+/// Ordered by (key, nbr); seq is the input that emitted it.
+struct KeyedElem {
+  std::uint64_t key;
+  std::uint64_t nbr;
+  std::uint64_t seq;
+};
+
+TEST(BucketScatter, SubKeyRunsAreStableWholeKeysInKeyOrder) {
+  // Input i emits (a, b) and (b, a), as an undirected record emits two
+  // arcs: keys repeat, and reach 2^40, so buckets cut wide key ranges.
+  constexpr std::size_t n = 60000;
+  SplitMix64 rng(99);
+  std::vector<std::uint64_t> a(n);
+  std::vector<std::uint64_t> b(n);
+  std::uint64_t key_max = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = rng.next_bounded(2048) << 29;
+    b[i] = rng.next_bounded(std::uint64_t{1} << 40);
+    key_max = std::max({key_max, a[i], b[i]});
+  }
+  const auto emit = [&](std::size_t i, auto&& put) {
+    put(KeyedElem{a[i], b[i], i});
+    put(KeyedElem{b[i], a[i], i});
+  };
+  const auto less = [](const KeyedElem& x, const KeyedElem& y) {
+    return std::tie(x.key, x.nbr) < std::tie(y.key, y.nbr);
+  };
+  const auto key = [](const KeyedElem& x) { return x.key; };
+
+  for (const int t : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << t);
+    const std::size_t nb = parallel::sample_sort_buckets(2 * n, t);
+    const parallel::Buckets<KeyedElem> out =
+        parallel::bucket_scatter<KeyedElem>(n, t, nb, emit, less, key,
+                                            key_max);
+    ASSERT_EQ(out.items.size(), 2 * n);
+    ASSERT_EQ(out.first.size(), nb + 1);
+    const std::size_t subs = out.first.back();
+    ASSERT_EQ(out.begin.size(), subs + 1);
+    ASSERT_EQ(out.begin.front(), 0u);
+    ASSERT_EQ(out.begin.back(), 2 * n);
+    // The t histograms of one offset per sub-bucket fit in 1/16 of the
+    // output's bytes (every input emits two, so the sample predicts it).
+    EXPECT_LE(static_cast<std::size_t>(t) * subs * sizeof(std::size_t),
+              out.items.size() * sizeof(KeyedElem) / 16);
+    EXPECT_GT(subs, nb);
+
+    std::vector<int> seen(n, 0);
+    for (const KeyedElem& x : out.items) ++seen[x.seq];
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 2),
+              static_cast<std::ptrdiff_t>(n));
+
+    const KeyedElem* prev_max = nullptr;  // the previous bucket's largest
+    for (std::size_t bk = 0; bk < nb; ++bk) {
+      bool any = false;
+      std::uint64_t last_key = 0;  // the previous non-empty run's largest
+      for (std::size_t k = out.first[bk]; k < out.first[bk + 1]; ++k) {
+        const std::size_t lo = out.begin[k];
+        const std::size_t hi = out.begin[k + 1];
+        ASSERT_LE(lo, hi);
+        if (lo == hi) continue;
+        std::uint64_t lo_key = out.items[lo].key;
+        std::uint64_t hi_key = lo_key;
+        for (std::size_t i = lo; i < hi; ++i) {
+          // Stable: a run holds its elements in emission order.
+          if (i > lo) {
+            ASSERT_LE(out.items[i - 1].seq, out.items[i].seq) << "run " << k;
+          }
+          lo_key = std::min(lo_key, out.items[i].key);
+          hi_key = std::max(hi_key, out.items[i].key);
+        }
+        // A key fills one run of its bucket, and runs come in key order.
+        if (any) {
+          ASSERT_LT(last_key, lo_key) << "run " << k;
+        }
+        any = true;
+        last_key = hi_key;
+      }
+      // Buckets come in comparator order.
+      const auto lo = out.items.begin() +
+                      static_cast<std::ptrdiff_t>(out.begin[out.first[bk]]);
+      const auto hi = out.items.begin() + static_cast<std::ptrdiff_t>(
+                                              out.begin[out.first[bk + 1]]);
+      if (lo == hi) continue;
+      if (prev_max != nullptr) {
+        EXPECT_FALSE(less(*std::min_element(lo, hi, less), *prev_max))
+            << "bucket " << bk;
+      }
+      prev_max = &*std::max_element(lo, hi, less);
+    }
+
+    // Without a sub-key every bucket is one run.
+    const parallel::Buckets<KeyedElem> plain =
+        parallel::bucket_scatter<KeyedElem>(n, t, nb, emit, less);
+    EXPECT_EQ(plain.first.back(), nb);
+    EXPECT_EQ(plain.begin.size(), nb + 1);
+  }
+}
+
 // --- parallel_pack: stable compaction vs a serial filter ---
 
 using PackCase =
