@@ -1,9 +1,10 @@
 // Streaming updates on the dynamic graph representation (§3, "Data
-// Representation"): low-degree adjacencies live in flat resizable arrays,
-// high-degree adjacencies get promoted to treaps, and the structure absorbs
+// Representation"): every vertex's adjacency is one sorted neighbour
+// vector, a hub's thousands of entries included, and the structure absorbs
 // interleaved insertions/deletions while answering connectivity queries.
 //
 //   ./dynamic_updates
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -21,50 +22,51 @@ int main() {
   using namespace snap;
 
   const vid_t n = 50000;
-  DynamicGraph dyn(n, /*directed=*/false, /*promote_threshold=*/64);
+  const vid_t hubs = 16;
+  DynamicGraph dyn(n, /*directed=*/false);
   SplitMix64 rng(2026);
 
   // Phase 1: stream in a skewed edge workload — a few celebrity vertices
-  // attract most edges, exactly the distribution the hybrid layout targets.
+  // attract a quarter of the edges, the skew of a small-world degree
+  // distribution.
   WallTimer t;
   eid_t inserted = 0;
   for (int i = 0; i < 400000; ++i) {
     const bool hub_edge = rng.next_bounded(4) == 0;  // 25% hit a hub
     const auto u = static_cast<vid_t>(
-        hub_edge ? rng.next_bounded(16) : rng.next_bounded(n));
+        hub_edge ? rng.next_bounded(hubs) : rng.next_bounded(n));
     const auto v = static_cast<vid_t>(rng.next_bounded(n));
     if (u != v && dyn.insert_edge(u, v)) ++inserted;
   }
   std::printf("inserted %lld edges in %.2fs\n",
               static_cast<long long>(inserted), t.elapsed_s());
 
-  vid_t promoted = 0;
-  eid_t promoted_degree = 0;
-  for (vid_t v = 0; v < n; ++v) {
-    if (dyn.is_promoted(v)) {
-      ++promoted;
-      promoted_degree += dyn.degree(v);
-    }
+  eid_t hub_arcs = 0;
+  eid_t hub_max = 0;
+  for (vid_t v = 0; v < hubs; ++v) {
+    hub_arcs += dyn.degree(v);
+    hub_max = std::max(hub_max, dyn.degree(v));
   }
-  std::printf("%lld vertices promoted to treap adjacencies "
-              "(avg degree %lld; flat-array vertices stay tiny)\n\n",
-              static_cast<long long>(promoted),
-              static_cast<long long>(promoted ? promoted_degree / promoted
-                                              : 0));
+  std::printf("%lld hub rows hold %lld neighbours (largest %lld); the "
+              "other rows average %.1f\n\n",
+              static_cast<long long>(hubs), static_cast<long long>(hub_arcs),
+              static_cast<long long>(hub_max),
+              static_cast<double>(2 * dyn.num_edges() - hub_arcs) /
+                  static_cast<double>(n - hubs));
 
   // Phase 2: churn — delete a third of what we look up, reinsert others.
   t.reset();
   eid_t deleted = 0;
   for (int i = 0; i < 200000; ++i) {
-    const auto u = static_cast<vid_t>(rng.next_bounded(16));  // hub-heavy
+    const auto u = static_cast<vid_t>(rng.next_bounded(hubs));  // hub-heavy
     const auto v = static_cast<vid_t>(rng.next_bounded(n));
     if (dyn.has_edge(u, v) && rng.next_bounded(3) == 0) {
       dyn.delete_edge(u, v);
       ++deleted;
     }
   }
-  std::printf("churn phase: %lld deletions in %.2fs (treap deletes are "
-              "O(log d))\n\n",
+  std::printf("churn phase: %lld deletions in %.2fs (each a binary search "
+              "and one shift of a sorted row)\n\n",
               static_cast<long long>(deleted), t.elapsed_s());
 
   // Phase 3: snapshot to CSR for the static analysis kernels.
@@ -80,7 +82,7 @@ int main() {
                   comps.sizes()[static_cast<std::size_t>(comps.giant())]),
               t.elapsed_s());
   std::printf(
-      "\nPattern: ingest and churn on the dynamic hybrid structure, then\n"
+      "\nPattern: ingest and churn on the dynamic graph, then\n"
       "snapshot to CSR whenever a batch of static analysis is due.\n\n");
 
   // Phase 4: the batched engine — wrap the dynamic graph in a

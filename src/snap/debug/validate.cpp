@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <sstream>
 
 #include "snap/community/louvain.hpp"
@@ -41,24 +40,14 @@ std::vector<eid_t>& Access::mutable_offsets(CSRGraph& g) {
   return g.offsets_;
 }
 
-const std::vector<std::vector<vid_t>>& Access::flat(const DynamicGraph& g) {
-  return g.flat_;
-}
-const std::vector<Treap>& Access::treaps(const DynamicGraph& g) {
-  return g.treap_;
-}
-eid_t Access::promote_threshold(const DynamicGraph& g) {
-  return g.promote_threshold_;
+const std::vector<std::vector<vid_t>>& Access::rows(const DynamicGraph& g) {
+  return g.rows_;
 }
 eid_t Access::edge_count(const DynamicGraph& g) { return g.m_; }
-std::vector<std::vector<vid_t>>& Access::mutable_flat(DynamicGraph& g) {
-  return g.flat_;
+std::vector<std::vector<vid_t>>& Access::mutable_rows(DynamicGraph& g) {
+  return g.rows_;
 }
 eid_t& Access::mutable_edge_count(DynamicGraph& g) { return g.m_; }
-
-const Treap::Node* Access::root(const Treap& t) { return t.root_; }
-Treap::Node* Access::mutable_root(Treap& t) { return t.root_; }
-std::size_t Access::stored_size(const Treap& t) { return t.size_; }
 
 const std::vector<std::int64_t>& Access::parent(const UnionFind& uf) {
   return uf.parent_;
@@ -117,41 +106,6 @@ struct Checker {
     return cond;
   }
 };
-
-/// Shared treap walk: BST bounds, max-heap priorities, hashed-priority
-/// determinism, node count.  Returns the subtree node count.
-std::size_t walk_treap(const Treap::Node* node, std::int64_t lo,
-                       std::int64_t hi, bool has_lo, bool has_hi,
-                       Checker& ck) {
-  if (!node) return 0;
-  ck.require(!has_lo || node->key > lo, "BST order: key ", node->key,
-             " not above lower bound ", lo);
-  ck.require(!has_hi || node->key < hi, "BST order: key ", node->key,
-             " not below upper bound ", hi);
-  ck.require(node->prio == snap::detail::treap_priority(node->key),
-             "priority of key ", node->key,
-             " does not match the deterministic hash (", node->prio, " vs ",
-             snap::detail::treap_priority(node->key), ")");
-  if (node->left)
-    ck.require(node->prio >= node->left->prio, "heap order: key ", node->key,
-               " has prio below left child ", node->left->key);
-  if (node->right)
-    ck.require(node->prio >= node->right->prio, "heap order: key ", node->key,
-               " has prio below right child ", node->right->key);
-  return 1 + walk_treap(node->left, lo, node->key, has_lo, true, ck) +
-         walk_treap(node->right, node->key, hi, true, has_hi, ck);
-}
-
-/// Membership check of (u, v) against a DynamicGraph's raw adjacency state.
-/// A linear scan of a flat row, so the mirror check does not lean on the
-/// sortedness the validator is checking.
-bool dyn_has_arc(const std::vector<std::vector<vid_t>>& flat,
-                 const std::vector<Treap>& treaps, vid_t u, vid_t v) {
-  const auto su = static_cast<std::size_t>(u);
-  if (!treaps[su].empty()) return treaps[su].contains(v);
-  const auto& row = flat[su];
-  return std::find(row.begin(), row.end(), v) != row.end();
-}
 
 }  // namespace
 
@@ -271,55 +225,47 @@ ValidationReport validate(const DynamicGraph& g) {
   Checker ck{report};
 
   const vid_t n = g.num_vertices();
-  const auto& flat = Access::flat(g);
-  const auto& treaps = Access::treaps(g);
-  const eid_t threshold = Access::promote_threshold(g);
+  const auto& rows = Access::rows(g);
 
-  if (!ck.require(flat.size() == treaps.size(), "flat rows ", flat.size(),
-                  " vs treap rows ", treaps.size()))
-    return report;
-
+  // Pass 1: every row is a strictly ascending set of in-range neighbours.
+  // A row that passes may be binary-searched in pass 2.
+  std::vector<std::uint8_t> row_ok(rows.size(), 1);
   eid_t total_arcs = 0;
   eid_t self_arcs = 0;
-  std::vector<vid_t> scratch;
   for (vid_t v = 0; v < n; ++v) {
     const auto sv = static_cast<std::size_t>(v);
-    const auto& row = flat[sv];
-    const Treap& tr = treaps[sv];
-    ck.require(row.empty() || tr.empty(), "vertex ", v,
-               " holds both a flat row (", row.size(), ") and a treap (",
-               tr.size(), ") — mode exclusivity violated");
-    ck.require(static_cast<eid_t>(row.size()) <= threshold, "vertex ", v,
-               " flat row size ", row.size(), " above promote threshold ",
-               threshold);
-
-    std::span<const vid_t> nbrs = row;
-    if (!tr.empty()) {
-      const ValidationReport tr_report = validate(tr);
-      report.checks_run += tr_report.checks_run;
-      for (const auto& err : tr_report.errors)
-        ck.require(false, "treap of vertex ", v, ": ", err);
-      scratch.clear();
-      tr.for_each([&](std::int64_t k) {
-        scratch.push_back(static_cast<vid_t>(k));
-      });
-      nbrs = scratch;
-    } else {
-      // A flat row is a strictly ascending set: no duplicate, no disorder.
-      for (std::size_t i = 1; i < row.size(); ++i)
-        ck.require(row[i - 1] < row[i], "vertex ", v,
-                   " flat row not strictly ascending at ", i, ": ",
-                   row[i - 1], " then ", row[i]);
-    }
-    total_arcs += static_cast<eid_t>(nbrs.size());
-    for (vid_t u : nbrs) {
-      if (!ck.require(u >= 0 && u < n, "vertex ", v,
-                      " has out-of-range neighbor ", u))
-        continue;
+    const auto& row = rows[sv];
+    total_arcs += static_cast<eid_t>(row.size());
+    bool ok = true;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const vid_t u = row[i];
+      ok &= ck.require(u >= 0 && u < n, "vertex ", v,
+                       " has out-of-range neighbor ", u);
       if (u == v) ++self_arcs;
-      if (!g.directed() && u != v)
-        ck.require(dyn_has_arc(flat, treaps, u, v), "undirected arc ", v,
-                   "->", u, " has no mirror ", u, "->", v);
+      if (i > 0)
+        ok &= ck.require(row[i - 1] < u, "vertex ", v,
+                         " row not strictly ascending at ", i, ": ",
+                         row[i - 1], " then ", u);
+    }
+    row_ok[sv] = ok ? 1 : 0;
+  }
+
+  // Pass 2 (undirected): every arc v -> u has its mirror u -> v.  The
+  // lookup is a binary search in a row that passed pass 1 and a linear scan
+  // in one that did not, so it never leans on an order it has not checked.
+  if (!g.directed()) {
+    for (vid_t v = 0; v < n; ++v) {
+      for (const vid_t u : rows[static_cast<std::size_t>(v)]) {
+        if (u < 0 || u >= n || u == v) continue;
+        const auto su = static_cast<std::size_t>(u);
+        const auto& mirror = rows[su];
+        const bool found =
+            row_ok[su] ? std::binary_search(mirror.begin(), mirror.end(), v)
+                       : std::find(mirror.begin(), mirror.end(), v) !=
+                             mirror.end();
+        ck.require(found, "undirected arc ", v, "->", u, " has no mirror ", u,
+                   "->", v);
+      }
     }
   }
 
@@ -333,20 +279,6 @@ ValidationReport validate(const DynamicGraph& g) {
   ck.require(g.num_edges() == expected_m, "edge counter m = ", g.num_edges(),
              " but adjacency holds ", expected_m,
              " logical edges (degree bookkeeping drift)");
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Treap.
-
-ValidationReport validate(const Treap& t) {
-  ValidationReport report;
-  report.subject = "Treap";
-  Checker ck{report};
-  const std::size_t counted =
-      walk_treap(Access::root(t), 0, 0, false, false, ck);
-  ck.require(counted == Access::stored_size(t), "stored size ",
-             Access::stored_size(t), " != node count ", counted);
   return report;
 }
 
@@ -563,8 +495,9 @@ ValidationReport validate(const stream::StreamingGraph& sg) {
              "live snapshot gauge ", sg.live_snapshots(),
              " inconsistent with published snapshot state");
   if (!stale && cached == sg.epoch()) {
-    // Fresh cache: snapshot() returns it without rebuilding.
-    const CSRGraph& snap = sg.snapshot();
+    // Fresh snapshot: pin() returns it without rebuilding.
+    const stream::SnapshotHandle pinned = sg.pin();
+    const CSRGraph& snap = pinned->graph();
     ck.require(snap.num_vertices() == sg.graph().num_vertices(),
                "cached snapshot has ", snap.num_vertices(),
                " vertices, live graph ", sg.graph().num_vertices());

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "snap/debug/check.hpp"
-#include "snap/ds/treap.hpp"
 #include "snap/graph/types.hpp"
 
 namespace snap {
@@ -63,17 +62,10 @@ struct Access {
   static std::vector<eid_t>& mutable_offsets(CSRGraph& g);
 
   // DynamicGraph
-  static const std::vector<std::vector<vid_t>>& flat(const DynamicGraph& g);
-  static const std::vector<Treap>& treaps(const DynamicGraph& g);
-  static eid_t promote_threshold(const DynamicGraph& g);
+  static const std::vector<std::vector<vid_t>>& rows(const DynamicGraph& g);
   static eid_t edge_count(const DynamicGraph& g);
-  static std::vector<std::vector<vid_t>>& mutable_flat(DynamicGraph& g);
+  static std::vector<std::vector<vid_t>>& mutable_rows(DynamicGraph& g);
   static eid_t& mutable_edge_count(DynamicGraph& g);
-
-  // Treap
-  static const Treap::Node* root(const Treap& t);
-  static Treap::Node* mutable_root(Treap& t);
-  static std::size_t stored_size(const Treap& t);
 
   // UnionFind
   static const std::vector<std::int64_t>& parent(const UnionFind& uf);
@@ -107,14 +99,10 @@ struct Access {
 /// weighted-flag consistency.
 [[nodiscard]] ValidationReport validate(const CSRGraph& g);
 
-/// Degree-hybrid adjacency: flat/treap mode exclusivity against the promote
-/// threshold, per-vertex set semantics, undirected mirror-arc symmetry, and
-/// the m_ edge counter against a full arc recount.
+/// Dynamic adjacency: every row in range and strictly ascending, undirected
+/// mirror-arc symmetry (one binary search per arc in a row that passed the
+/// order check), and the m_ edge counter against a full arc recount.
 [[nodiscard]] ValidationReport validate(const DynamicGraph& g);
-
-/// Treap: BST order, max-heap priority order, priorities matching the
-/// deterministic key hash, and node count == size().
-[[nodiscard]] ValidationReport validate(const Treap& t);
 
 /// Union-find forest: parents in range, chains acyclic and terminating,
 /// per-root stored sizes matching actual member counts, num_sets == number
@@ -145,7 +133,7 @@ struct Access {
                                         const LouvainLevel& lvl,
                                         double tol = 1e-6);
 
-/// Streaming engine: the wrapped DynamicGraph validates, and the epoch-cached
+/// Streaming engine: the wrapped DynamicGraph validates, and the published
 /// snapshot (when fresh) agrees with the live graph's vertex/edge counts.
 [[nodiscard]] ValidationReport validate(const stream::StreamingGraph& sg);
 

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "snap/debug/fwd.hpp"
-#include "snap/ds/treap.hpp"
 #include "snap/graph/types.hpp"
 
 namespace snap {
@@ -14,30 +14,25 @@ namespace stream {
 class StreamingGraph;
 }  // namespace stream
 
-/// Dynamic graph with the degree-hybrid adjacency layout of §3 ("Data
-/// Representation"): small-world degree distributions are heavily skewed, so
-/// adjacencies of the many low-degree vertices live in flat arrays, while
-/// adjacencies of the few high-degree vertices are promoted to treaps, which
-/// support fast insertion, deletion and search.
+/// Dynamic graph for streaming updates (§3, "Data Representation"): one
+/// strictly ascending neighbour vector per vertex, of any length, as in
+/// Leskovec and Sosič's SNAP.  The paper keeps low-degree adjacencies in
+/// unsorted arrays and moves hubs to treaps; measured up to R-MAT scale 20,
+/// sorted rows alone were as fast on every path here and held the graph in
+/// less memory (DESIGN.md §1.1).
 ///
-/// The paper's flat arrays are unsorted; here every flat row is a strictly
-/// ascending set, as in Leskovec and Sosič's SNAP.  A row holds at most
-/// `promote_threshold` entries, so an insert or delete shifts a few words,
-/// and in exchange a lookup is a binary search, a row filled from empty is
-/// written once at exactly its final size (StreamingGraph::apply does so
-/// for every row of a preload), promotion builds the treap from the row as
-/// is, and the CSR snapshot copies rows without sorting them.
+/// A lookup or delete is a binary search and an insert one shift of the
+/// larger entries; a row filled from empty is written once at exactly its
+/// final size (StreamingGraph::apply does so for every row of a preload),
+/// and the CSR snapshot copies rows without sorting them.
 ///
 /// The structure is unweighted and stores both arcs for undirected graphs.
 class DynamicGraph {
  public:
-  /// `promote_threshold` — degree at which a vertex's adjacency is migrated
-  /// from the flat array to a treap.
-  explicit DynamicGraph(vid_t n = 0, bool directed = false,
-                        eid_t promote_threshold = 128);
+  explicit DynamicGraph(vid_t n = 0, bool directed = false);
 
   [[nodiscard]] vid_t num_vertices() const {
-    return static_cast<vid_t>(flat_.size());
+    return static_cast<vid_t>(rows_.size());
   }
   [[nodiscard]] eid_t num_edges() const { return m_; }
   [[nodiscard]] bool directed() const { return directed_; }
@@ -56,22 +51,14 @@ class DynamicGraph {
 
   [[nodiscard]] bool has_edge(vid_t u, vid_t v) const;
 
-  [[nodiscard]] eid_t degree(vid_t v) const;
+  [[nodiscard]] eid_t degree(vid_t v) const {
+    return static_cast<eid_t>(rows_[static_cast<std::size_t>(v)].size());
+  }
 
-  /// True if v's adjacency currently lives in a treap.
-  [[nodiscard]] bool is_promoted(vid_t v) const { return !treap_[v].empty(); }
-
-  /// Visit every neighbor of v in ascending order, from either layout.  The
-  /// visitor inlines into the adjacency walk, which is what the streaming
-  /// observers' and to_csr's hot loops want.
-  template <typename Fn>
-  void for_each_neighbor(vid_t v, Fn&& fn) const {
-    const auto s = static_cast<std::size_t>(v);
-    if (!treap_[s].empty()) {
-      treap_[s].for_each([&fn](std::int64_t k) { fn(static_cast<vid_t>(k)); });
-    } else {
-      for (vid_t u : flat_[s]) fn(u);
-    }
+  /// Out-neighbors of v (all neighbors for undirected graphs), ascending;
+  /// an undirected self loop appears once.  Valid until the next update.
+  [[nodiscard]] std::span<const vid_t> neighbors(vid_t v) const {
+    return rows_[static_cast<std::size_t>(v)];
   }
 
   /// Snapshot to the static CSR representation: the image
@@ -83,7 +70,7 @@ class DynamicGraph {
   [[nodiscard]] CSRGraph to_csr() const;
 
   /// Load all edges of a CSR graph (must share directedness).
-  static DynamicGraph from_csr(const CSRGraph& g, eid_t promote_threshold = 128);
+  static DynamicGraph from_csr(const CSRGraph& g);
 
  private:
   // The streaming engine applies canonicalized batches one owner group at a
@@ -95,12 +82,9 @@ class DynamicGraph {
   friend struct debug::Access;
 
   bool directed_;
-  eid_t promote_threshold_;
   eid_t m_ = 0;
-  // Per vertex: a strictly ascending flat row until promoted, then the
-  // treap owns the adjacency.
-  std::vector<std::vector<vid_t>> flat_;
-  std::vector<Treap> treap_;
+  // Per vertex: its neighbours, strictly ascending.
+  std::vector<std::vector<vid_t>> rows_;
 
   bool insert_arc(vid_t u, vid_t v);
   bool delete_arc(vid_t u, vid_t v);

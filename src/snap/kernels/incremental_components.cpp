@@ -36,11 +36,9 @@ vid_t IncrementalComponents::num_components() {
 void IncrementalComponents::rebuild() {
   const vid_t n = graph_.num_vertices();
   uf_.reset(static_cast<std::size_t>(n));
-  for (vid_t u = 0; u < n; ++u) {
-    graph_.for_each_neighbor(u, [&](vid_t v) {
+  for (vid_t u = 0; u < n; ++u)
+    for (const vid_t v : graph_.neighbors(u))
       if (u <= v || graph_.directed()) uf_.unite(u, v);
-    });
-  }
   stale_ = false;
   ++rebuilds_;
   SNAP_VALIDATE(uf_);

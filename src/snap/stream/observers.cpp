@@ -41,11 +41,9 @@ vid_t ComponentsObserver::num_components() {
 void ComponentsObserver::rebuild() {
   const vid_t n = graph_.num_vertices();
   uf_.reset(static_cast<std::size_t>(n));
-  for (vid_t u = 0; u < n; ++u) {
-    graph_.for_each_neighbor(u, [&](vid_t v) {
+  for (vid_t u = 0; u < n; ++u)
+    for (const vid_t v : graph_.neighbors(u))
       if (u <= v || graph_.directed()) uf_.unite(u, v);
-    });
-  }
   stale_ = false;
   ++rebuilds_;
 }
@@ -113,24 +111,22 @@ ClusteringObserver::ClusteringObserver(const DynamicGraph& graph)
   deg_.assign(static_cast<std::size_t>(n), 0);
   tri_.assign(static_cast<std::size_t>(n), 0);
 
-  // From-scratch seed: sorted self-loop-free adjacency, then every triangle
-  // {u < v < w} found once via its (u, v) edge.
-  std::vector<std::vector<vid_t>> adj(static_cast<std::size_t>(n));
+  // From-scratch seed, straight from the rows (ascending sets): each
+  // self-loop-free degree is the row size less v's own entry, and every
+  // triangle {u < v < w} is found once via its (u, v) edge by intersecting
+  // the two rows above v, where no self loop can appear.
   for (vid_t v = 0; v < n; ++v) {
-    graph.for_each_neighbor(v, [&](vid_t w) {
-      if (w != v) adj[static_cast<std::size_t>(v)].push_back(w);
-    });
-    auto& a = adj[static_cast<std::size_t>(v)];
-    std::sort(a.begin(), a.end());
-    const auto d = static_cast<eid_t>(a.size());
+    const auto row = graph.neighbors(v);
+    const auto d = static_cast<eid_t>(row.size()) -
+                   (std::binary_search(row.begin(), row.end(), v) ? 1 : 0);
     deg_[static_cast<std::size_t>(v)] = d;
     wedges_ += static_cast<std::int64_t>(d) * (d - 1) / 2;
   }
   for (vid_t u = 0; u < n; ++u) {
-    const auto& au = adj[static_cast<std::size_t>(u)];
+    const auto au = graph.neighbors(u);
     for (vid_t v : au) {
       if (v <= u) continue;
-      const auto& av = adj[static_cast<std::size_t>(v)];
+      const auto av = graph.neighbors(v);
       auto iu = std::upper_bound(au.begin(), au.end(), v);
       auto iv = std::upper_bound(av.begin(), av.end(), v);
       while (iu != au.end() && iv != av.end()) {
@@ -226,12 +222,12 @@ void ClusteringObserver::on_batch(const AppliedBatch& batch) {
                         ? u
                         : v;
     const vid_t b = a == u ? v : u;
-    graph_.for_each_neighbor(a, [&](vid_t w) {
-      if (w == u || w == v) return;
+    for (const vid_t w : graph_.neighbors(a)) {
+      if (w == u || w == v) continue;
       if (const DeltaArc* d = find_delta(delta, a, w))
-        if (d->is_insert && ins_pending[d->idx]) return;  // not yet inserted
+        if (d->is_insert && ins_pending[d->idx]) continue;  // not yet inserted
       if (present(b, w)) commons.push_back(w);
-    });
+    }
     const auto it = delta.find(a);
     if (it != delta.end()) {
       for (const DeltaArc& d : it->second) {

@@ -82,7 +82,7 @@ class DegreeStatsObserver : public StreamObserver {
 /// Self loops are ignored throughout (as the static metrics do): degrees here
 /// are self-loop-free and match the CSR snapshot's, so global_clustering()
 /// and average_clustering() track metrics::{global,average}_clustering_
-/// coefficient of snapshot() exactly.
+/// coefficient of the pinned snapshot exactly.
 class ClusteringObserver : public StreamObserver {
  public:
   /// Undirected graphs only; throws std::invalid_argument on directed.

@@ -22,15 +22,14 @@ EpochSnapshot::~EpochSnapshot() {
   live_->fetch_sub(1, std::memory_order_acq_rel);
 }
 
-StreamingGraph::StreamingGraph(vid_t n, bool directed, eid_t promote_threshold)
-    : graph_(n, directed, promote_threshold) {}
+StreamingGraph::StreamingGraph(vid_t n, bool directed)
+    : graph_(n, directed) {}
 
 StreamingGraph::StreamingGraph(DynamicGraph graph)
     : graph_(std::move(graph)) {}
 
-StreamingGraph StreamingGraph::from_csr(const CSRGraph& g,
-                                        eid_t promote_threshold) {
-  return StreamingGraph(DynamicGraph::from_csr(g, promote_threshold));
+StreamingGraph StreamingGraph::from_csr(const CSRGraph& g) {
+  return StreamingGraph(DynamicGraph::from_csr(g));
 }
 
 void StreamingGraph::add_observer(StreamObserver* obs) {
@@ -85,8 +84,7 @@ ApplyStats StreamingGraph::apply_canonical(CanonicalBatch cb) {
     group_begin.push_back(na);
 
     // Apply.  Every group lands in one row and is applied by one thread, in
-    // neighbour order (see apply_group), so row contents, promotion points
-    // and treap shapes are deterministic.
+    // neighbour order (see apply_group), so row contents are deterministic.
     //
     // Effective logical edge changes: for undirected graphs the two arcs of
     // an edge are always both effective or both not (the adjacency mirror
@@ -154,16 +152,16 @@ void StreamingGraph::apply_group(std::span<const ArcUpdate> group,
   const auto inserts_arc = [](const ArcUpdate& a) {
     return a.kind == UpdateKind::kInsert;
   };
-  std::vector<vid_t>& row = graph_.flat_[at];
-  if (!row.empty() || graph_.is_promoted(u)) {
+  std::vector<vid_t>& row = graph_.rows_[at];
+  if (!row.empty()) {
     for (std::size_t i = 0; i < group.size(); ++i)
       eff[i] = inserts_arc(group[i]) ? graph_.insert_arc(u, group[i].nbr)
                                      : graph_.delete_arc(u, group[i].nbr);
     return;
   }
 
-  // An empty adjacency (every row of a preload): each insert is effective
-  // and each delete is not, and the inserted neighbours, ascending, are the
+  // An empty row (every row of a preload): each insert is effective and
+  // each delete is not, and the inserted neighbours, ascending, are the
   // row, written once at its final size.
   std::size_t size = 0;
   for (std::size_t i = 0; i < group.size(); ++i) {
@@ -175,10 +173,7 @@ void StreamingGraph::apply_group(std::span<const ArcUpdate> group,
   filled.reserve(size);
   for (std::size_t i = 0; i < group.size(); ++i)
     if (eff[i]) filled.push_back(group[i].nbr);
-  if (static_cast<eid_t>(size) > graph_.promote_threshold_)
-    graph_.treap_[at] = Treap::from_sorted(filled);
-  else
-    row = std::move(filled);
+  row = std::move(filled);
 }
 
 SnapshotHandle StreamingGraph::publish_snapshot() const {
@@ -210,20 +205,6 @@ void StreamingGraph::set_eager_snapshots(bool eager) {
   // Publish immediately so concurrent pins always find a snapshot without
   // ever touching the live graph.
   if (eager_) (void)publish_snapshot();
-}
-
-const CSRGraph& StreamingGraph::snapshot() const {
-  SnapshotHandle h = pin();
-  bool refreshed = false;
-  {
-    sync::MutexLock lk(snap_mu_);
-    refreshed = legacy_.get() != h.get();
-    legacy_ = h;
-  }
-  // Validate only on refresh: the validator itself calls snapshot(), which
-  // now short-circuits (same handle), so validation cannot recurse.
-  if (refreshed) SNAP_VALIDATE(*this);
-  return h->graph();
 }
 
 }  // namespace snap::stream

@@ -82,28 +82,23 @@ class EpochSnapshot {
 /// construction.
 using SnapshotHandle = std::shared_ptr<const EpochSnapshot>;
 
-/// Batched, parallel edge updates over the §3 degree-hybrid DynamicGraph —
-/// the streaming-ingest front door (PAPER §6's "topological analysis of
-/// dynamic networks").
+/// Batched, parallel edge updates over the §3 DynamicGraph — the
+/// streaming-ingest front door (PAPER §6's "topological analysis of dynamic
+/// networks").
 ///
 /// apply() canonicalizes the batch (see UpdateBatch::canonicalize) and then
 /// applies it with updates grouped per owning vertex: every vertex's
 /// adjacency is touched by exactly one thread, so there are no locks and the
-/// post-batch graph — row contents, promotions and treap shapes — is
-/// identical at any thread count.  Its edge set, and so its to_csr image,
-/// equals serial one-edge-at-a-time application of the raw record sequence;
-/// a group holds only each arc's last update, so which rows pass the
-/// promote threshold, and become treaps, can differ from that path's.  apply()
-/// consumes its batch and frees each stage's buffer once the next exists:
-/// the records once canonicalized, the arcs once applied, both before an
-/// eager publish allocates the new snapshot.
+/// post-batch graph is identical at any thread count.  Its edge set, and so
+/// its to_csr image, equals serial one-edge-at-a-time application of the
+/// raw record sequence.  apply() consumes its batch and frees each stage's
+/// buffer once the next exists: the records once canonicalized, the arcs
+/// once applied, both before an eager publish allocates the new snapshot.
 class StreamingGraph {
  public:
-  explicit StreamingGraph(vid_t n = 0, bool directed = false,
-                          eid_t promote_threshold = 128);
+  explicit StreamingGraph(vid_t n = 0, bool directed = false);
   explicit StreamingGraph(DynamicGraph graph);
-  static StreamingGraph from_csr(const CSRGraph& g,
-                                 eid_t promote_threshold = 128);
+  static StreamingGraph from_csr(const CSRGraph& g);
 
   [[nodiscard]] const DynamicGraph& graph() const { return graph_; }
   [[nodiscard]] std::uint64_t epoch() const {
@@ -155,15 +150,6 @@ class StreamingGraph {
     return live_->load(std::memory_order_acquire);
   }
 
-  /// Epoch-cached CSR snapshot for the static kernels: rebuilt only when a
-  /// batch has been applied since the last call, so interleaving many static
-  /// analyses between batches costs one to_csr per epoch.  Single-threaded
-  /// convenience over pin(): the returned reference stays valid until the
-  /// next snapshot() call that observes a newer epoch (the handle backing it
-  /// is cached internally).  Concurrent callers should hold their own pin()
-  /// instead.
-  const CSRGraph& snapshot() const;
-
  private:
   // Validators read the published-snapshot epoch.
   friend struct debug::Access;
@@ -172,9 +158,9 @@ class StreamingGraph {
   ApplyStats apply_canonical(CanonicalBatch cb);
 
   /// Apply one owner group (arcs of one owner, ascending by neighbour) and
-  /// set eff[i] iff arc i changed the adjacency.  An empty adjacency is
-  /// written once from the group's inserts, at its final size (a treap past
-  /// the promote threshold); any other takes the arcs one at a time.
+  /// set eff[i] iff arc i changed the adjacency.  An empty row is written
+  /// once from the group's inserts, at its final size; any other takes the
+  /// arcs one at a time.
   void apply_group(std::span<const ArcUpdate> group, std::uint8_t* eff);
 
   /// Build the current epoch's CSR and swap it in as the published
@@ -194,10 +180,8 @@ class StreamingGraph {
   // Snapshot publication state.  snap_mu_ guards only the shared_ptr swap /
   // copy — readers hold it for a pointer copy, the writer for a pointer
   // store, so neither side can block the other for more than that.
-  mutable sync::Mutex snap_mu_;  // guards: published_, legacy_
+  mutable sync::Mutex snap_mu_;  // guards: published_
   mutable SnapshotHandle published_ GUARDED_BY(snap_mu_);
-  /// Keeps snapshot()'s returned reference alive across epochs.
-  mutable SnapshotHandle legacy_ GUARDED_BY(snap_mu_);
   std::shared_ptr<std::atomic<std::int64_t>> live_ =
       std::make_shared<std::atomic<std::int64_t>>(0);
 };

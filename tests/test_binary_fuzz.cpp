@@ -240,7 +240,7 @@ TEST(BinaryFuzz, EveryMutationIsRejectedOrWalkable) {
 
   SplitMix64 rng(20260);
   std::map<Verdict, int> verdicts;
-  std::map<Verdict, int> legacy_verdicts;  // reads of a SNAPB1 magic
+  std::map<Verdict, int> v1_verdicts;  // reads of a SNAPB1 magic
   for (int i = 0; i < kMutations; ++i) {
     const std::size_t s = rng.next_bounded(seed_bytes.size());
     const std::string bytes = mutate(seed_bytes[s], rng);
@@ -258,7 +258,7 @@ TEST(BinaryFuzz, EveryMutationIsRejectedOrWalkable) {
       ADD_FAILURE() << "mutation " << i << " of seed " << s
                     << " threw a non-runtime_error: " << e.what();
     }
-    ++(legacy ? legacy_verdicts : verdicts)[verdict];
+    ++(legacy ? v1_verdicts : verdicts)[verdict];
     if (::testing::Test::HasFailure())
       FAIL() << "mutation " << i << " of seed " << s;
   }
@@ -269,11 +269,11 @@ TEST(BinaryFuzz, EveryMutationIsRejectedOrWalkable) {
                           Verdict::kAccepted}) {
     EXPECT_GT(verdicts[v], 0) << "no SNAPB2 mutation reached: " << name(v);
     if (v != Verdict::kChecksum) {  // SNAPB1 has no checksum
-      EXPECT_GT(legacy_verdicts[v], 0)
+      EXPECT_GT(v1_verdicts[v], 0)
           << "no SNAPB1 mutation reached: " << name(v);
     }
     std::printf("%-20s %6d SNAPB2 %6d SNAPB1\n", name(v), verdicts[v],
-                legacy_verdicts[v]);
+                v1_verdicts[v]);
   }
 }
 

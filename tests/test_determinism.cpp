@@ -161,7 +161,7 @@ TEST(Determinism, StreamingApplyAndSnapshot) {
       h.value(st.applied_inserts);
       h.value(st.applied_deletes);
     }
-    hash_csr(h, sg.snapshot());
+    hash_csr(h, sg.pin()->graph());
   });
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }
@@ -169,7 +169,7 @@ TEST(Determinism, StreamingApplyAndSnapshot) {
 TEST(Determinism, DynamicToCsrRoundTrip) {
   const CSRGraph src = gen::erdos_renyi(800, 4000, /*directed=*/false, 53);
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
-    const DynamicGraph d = DynamicGraph::from_csr(src, /*promote_threshold=*/8);
+    const DynamicGraph d = DynamicGraph::from_csr(src);
     hash_csr(h, d.to_csr());
   });
   ASSERT_TRUE(report.deterministic) << report.to_string();

@@ -160,16 +160,26 @@ TEST(DynamicGraph, InsertDeleteHasEdge) {
   EXPECT_EQ(d.num_edges(), 0);
 }
 
-TEST(DynamicGraph, PromotionToTreapAtThreshold) {
-  DynamicGraph d(200, false, /*promote_threshold=*/16);
+TEST(DynamicGraph, RowDeletesEmptiesAndRefills) {
+  DynamicGraph d(200, false);
   for (vid_t v = 1; v <= 20; ++v) d.insert_edge(0, v);
-  EXPECT_TRUE(d.is_promoted(0));
-  EXPECT_FALSE(d.is_promoted(1));
   EXPECT_EQ(d.degree(0), 20);
+  EXPECT_EQ(d.degree(1), 1);
   EXPECT_TRUE(d.has_edge(0, 17));
   EXPECT_TRUE(d.delete_edge(0, 17));
   EXPECT_FALSE(d.has_edge(0, 17));
+  EXPECT_FALSE(d.has_edge(17, 0));
   EXPECT_EQ(d.degree(0), 19);
+  // Emptied, the row takes inserts again from scratch.
+  for (vid_t v = 1; v <= 20; ++v) d.delete_edge(0, v);
+  EXPECT_EQ(d.degree(0), 0);
+  EXPECT_EQ(d.num_edges(), 0);
+  for (vid_t v = 20; v >= 1; --v) EXPECT_TRUE(d.insert_edge(0, v));
+  EXPECT_EQ(d.degree(0), 20);
+  const auto row = d.neighbors(0);
+  EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
+  EXPECT_EQ(row.front(), 1);
+  EXPECT_EQ(row.back(), 20);
 }
 
 TEST(DynamicGraph, AddVertexGrows) {
@@ -190,15 +200,25 @@ TEST(DynamicGraph, ToCSRRoundtrip) {
   for (const Edge& e : g.edges()) EXPECT_TRUE(back.has_edge(e.u, e.v));
 }
 
-class DynamicGraphRandom : public ::testing::TestWithParam<std::uint64_t> {};
+struct RandomCase {
+  vid_t n;
+  int ops;
+  bool hubs;  ///< a quarter of the updates touch vertex 0, 1 or 2
+  std::uint64_t seed;
+};
+
+class DynamicGraphRandom : public ::testing::TestWithParam<RandomCase> {};
 
 TEST_P(DynamicGraphRandom, MatchesReferenceAdjacency) {
-  const vid_t n = 60;
-  DynamicGraph d(n, false, /*promote_threshold=*/8);  // force promotions
+  const RandomCase c = GetParam();
+  const vid_t n = c.n;
+  DynamicGraph d(n, false);
   std::set<std::pair<vid_t, vid_t>> ref;
-  SplitMix64 rng(GetParam());
-  for (int op = 0; op < 4000; ++op) {
-    vid_t u = static_cast<vid_t>(rng.next_bounded(n));
+  SplitMix64 rng(c.seed);
+  for (int op = 0; op < c.ops; ++op) {
+    vid_t u = static_cast<vid_t>(c.hubs && rng.next_bounded(4) == 0
+                                     ? rng.next_bounded(3)
+                                     : rng.next_bounded(n));
     vid_t v = static_cast<vid_t>(rng.next_bounded(n));
     if (u == v) continue;
     if (u > v) std::swap(u, v);
@@ -209,17 +229,34 @@ TEST_P(DynamicGraphRandom, MatchesReferenceAdjacency) {
     }
     ASSERT_EQ(d.num_edges(), static_cast<eid_t>(ref.size()));
   }
-  // Degrees must match the reference.
-  std::vector<eid_t> deg(static_cast<std::size_t>(n), 0);
+  // Every row must be the reference's neighbour set, ascending.
+  std::vector<std::vector<vid_t>> rows(static_cast<std::size_t>(n));
   for (const auto& [u, v] : ref) {
-    ++deg[static_cast<std::size_t>(u)];
-    ++deg[static_cast<std::size_t>(v)];
+    rows[static_cast<std::size_t>(u)].push_back(v);
+    rows[static_cast<std::size_t>(v)].push_back(u);
   }
-  for (vid_t v = 0; v < n; ++v) EXPECT_EQ(d.degree(v), deg[v]);
+  eid_t longest = 0;
+  for (vid_t v = 0; v < n; ++v) {
+    auto& want = rows[static_cast<std::size_t>(v)];
+    std::sort(want.begin(), want.end());
+    const auto got = d.neighbors(v);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+        << "row " << v;
+    EXPECT_EQ(d.degree(v), static_cast<eid_t>(want.size()));
+    longest = std::max(longest, d.degree(v));
+  }
+  if (c.hubs) {
+    EXPECT_GT(longest, 1000) << "hub rows stayed short";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicGraphRandom,
-                         ::testing::Values(3, 5, 8, 21));
+                         ::testing::Values(RandomCase{60, 4000, false, 3},
+                                           RandomCase{60, 4000, false, 5},
+                                           RandomCase{60, 4000, false, 8},
+                                           RandomCase{60, 4000, false, 21},
+                                           // hub rows of thousands
+                                           RandomCase{3000, 60000, true, 34}));
 
 TEST(DynamicGraph, DirectedMode) {
   DynamicGraph d(3, /*directed=*/true);
@@ -230,59 +267,9 @@ TEST(DynamicGraph, DirectedMode) {
   EXPECT_EQ(d.num_edges(), 2);
 }
 
-// Promotion boundary: the flat→treap migration point across small and large
-// thresholds, the revert when a treap empties, and the CSR round trip in the
-// promoted state.
-
-class DynamicGraphPromotion : public ::testing::TestWithParam<eid_t> {};
-
-TEST_P(DynamicGraphPromotion, PromotesExactlyAtThreshold) {
-  // A threshold of 1 clamps to 2 (a flat array of one entry is never worth
-  // migrating), so the effective boundary is max(threshold, 2).
-  const eid_t threshold = GetParam();
-  const eid_t effective = std::max<eid_t>(threshold, 2);
-  DynamicGraph d(200, false, threshold);
-  // A vertex stays flat while its adjacency fits the threshold; the insert
-  // that pushes it past migrates it to a treap.
-  for (eid_t k = 1; k <= effective; ++k) {
-    d.insert_edge(0, static_cast<vid_t>(k));
-    EXPECT_FALSE(d.is_promoted(0)) << "promoted at degree " << k;
-  }
-  d.insert_edge(0, static_cast<vid_t>(effective + 1));
-  EXPECT_TRUE(d.is_promoted(0));
-  EXPECT_EQ(d.degree(0), effective + 1);
-  // Neighbors stay flat: none crossed the boundary.
-  for (eid_t k = 1; k <= effective + 1; ++k)
-    EXPECT_FALSE(d.is_promoted(static_cast<vid_t>(k)));
-}
-
-TEST_P(DynamicGraphPromotion, RevertsToFlatWhenTreapEmpties) {
-  const eid_t threshold = GetParam();
-  const eid_t effective = std::max<eid_t>(threshold, 2);
-  DynamicGraph d(300, false, threshold);
-  for (eid_t k = 1; k <= effective + 3; ++k)
-    d.insert_edge(0, static_cast<vid_t>(k));
-  EXPECT_TRUE(d.is_promoted(0));
-  // Deleting below the threshold does NOT demote (hysteresis: a vertex that
-  // was hot once likely becomes hot again)...
-  for (eid_t k = 1; k <= effective + 2; ++k)
-    d.delete_edge(0, static_cast<vid_t>(k));
-  EXPECT_EQ(d.degree(0), 1);
-  EXPECT_TRUE(d.is_promoted(0));
-  // ...but deleting the last key reverts the vertex to the flat form.
-  d.delete_edge(0, static_cast<vid_t>(effective + 3));
-  EXPECT_EQ(d.degree(0), 0);
-  EXPECT_FALSE(d.is_promoted(0));
-  // And it can promote again from scratch.
-  for (eid_t k = 1; k <= effective + 1; ++k)
-    d.insert_edge(0, static_cast<vid_t>(k));
-  EXPECT_TRUE(d.is_promoted(0));
-}
-
-TEST_P(DynamicGraphPromotion, FromCsrToCsrRoundTrip) {
-  const eid_t threshold = GetParam();
+TEST(DynamicGraph, FromCsrToCsrRoundTrip) {
   const CSRGraph g = gen::erdos_renyi(120, 900, /*directed=*/false, 31);
-  const DynamicGraph d = DynamicGraph::from_csr(g, threshold);
+  const DynamicGraph d = DynamicGraph::from_csr(g);
   EXPECT_EQ(d.num_edges(), g.num_edges());
   const CSRGraph back = d.to_csr();
   ASSERT_EQ(back.num_vertices(), g.num_vertices());
@@ -291,12 +278,9 @@ TEST_P(DynamicGraphPromotion, FromCsrToCsrRoundTrip) {
     const auto want = g.neighbors(v);
     const auto got = back.neighbors(v);
     ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
-        << "adjacency differs at " << v << " (threshold " << threshold << ")";
+        << "adjacency differs at " << v;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, DynamicGraphPromotion,
-                         ::testing::Values(1, 2, 128));
 
 // to_csr fills the CSR arrays straight from the rows and must equal, byte
 // for byte, the image from_edges builds from the rows' edge list.
@@ -309,20 +293,19 @@ std::vector<T> to_vec(std::span<const T> s) {
 CSRGraph to_csr_via_edge_list(const DynamicGraph& d) {
   EdgeList edges;
   for (vid_t u = 0; u < d.num_vertices(); ++u)
-    d.for_each_neighbor(u, [&](vid_t v) {
+    for (const vid_t v : d.neighbors(u))
       if (d.directed() || u <= v) edges.push_back({u, v, 1.0});
-    });
   return CSRGraph::from_edges(d.num_vertices(), edges, d.directed(),
                               {.remove_self_loops = false});
 }
 
 /// A random update stream over a growing vertex set: a few hubs take a
-/// quarter of the inserts (so they cross even a 128 promote threshold),
-/// one insert in 16 is a self loop, and a quarter of the updates delete an
-/// earlier insert.
+/// quarter of the inserts (so their rows grow past 128 entries), one insert
+/// in 16 is a self loop, and a quarter of the updates delete an earlier
+/// insert.
 DynamicGraph random_stream_graph(vid_t n0, int updates, bool directed,
-                                 eid_t threshold, std::uint64_t seed) {
-  DynamicGraph d(n0, directed, threshold);
+                                 std::uint64_t seed) {
+  DynamicGraph d(n0, directed);
   SplitMix64 rng(seed);
   std::vector<std::pair<vid_t, vid_t>> inserted;
   for (int i = 0; i < updates; ++i) {
@@ -357,41 +340,38 @@ TEST(DynamicGraph, ToCsrMatchesFromEdges) {
                         // past the prefix sums' parallel cutoff
                         {"large stream", 5000, 40000}};
   for (const bool directed : {false, true}) {
-    for (const eid_t threshold : {1, 2, 128}) {
-      for (const Case& c : cases) {
-        const DynamicGraph d = random_stream_graph(
-            c.n0, c.updates, directed, threshold,
-            static_cast<std::uint64_t>(c.updates) + 7);
-        const std::string what = std::string(c.name) +
-                                 (directed ? " directed" : " undirected") +
-                                 " threshold " + std::to_string(threshold);
-        if (c.updates > 0) {
-          // The stream must reach treap rows, self loops and growth.
-          bool promoted = false;
-          bool loop = false;
-          for (vid_t v = 0; v < d.num_vertices(); ++v) {
-            promoted |= d.is_promoted(v);
-            loop |= d.has_edge(v, v);
-          }
-          ASSERT_TRUE(promoted && loop && d.num_vertices() > c.n0) << what;
+    for (const Case& c : cases) {
+      const DynamicGraph d =
+          random_stream_graph(c.n0, c.updates, directed,
+                              static_cast<std::uint64_t>(c.updates) + 7);
+      const std::string what =
+          std::string(c.name) + (directed ? " directed" : " undirected");
+      if (c.updates > 0) {
+        // The stream must reach long rows, self loops and growth.
+        eid_t longest = 0;
+        bool loop = false;
+        for (vid_t v = 0; v < d.num_vertices(); ++v) {
+          longest = std::max(longest, d.degree(v));
+          loop |= d.has_edge(v, v);
         }
-        const CSRGraph want = to_csr_via_edge_list(d);
-        for (const int threads : {1, 2, 4, 8}) {
-          parallel::ThreadScope scope(threads);
-          const CSRGraph got = d.to_csr();
-          SCOPED_TRACE(what + " threads " + std::to_string(threads));
-          ASSERT_EQ(got.num_vertices(), want.num_vertices());
-          ASSERT_EQ(got.num_edges(), want.num_edges());
-          ASSERT_EQ(got.directed(), want.directed());
-          EXPECT_EQ(to_vec(got.row_offsets()), to_vec(want.row_offsets()));
-          EXPECT_EQ(to_vec(got.adjacency()), to_vec(want.adjacency()));
-          EXPECT_EQ(to_vec(got.arc_weights()), to_vec(want.arc_weights()));
-          EXPECT_EQ(to_vec(got.arc_edge_id_array()),
-                    to_vec(want.arc_edge_id_array()));
-          EXPECT_EQ(got.edges(), want.edges());
-          EXPECT_EQ(got.weighted(), want.weighted());
-          EXPECT_EQ(got.adjacency_sorted(), want.adjacency_sorted());
-        }
+        ASSERT_TRUE(longest > 128 && loop && d.num_vertices() > c.n0) << what;
+      }
+      const CSRGraph want = to_csr_via_edge_list(d);
+      for (const int threads : {1, 2, 4, 8}) {
+        parallel::ThreadScope scope(threads);
+        const CSRGraph got = d.to_csr();
+        SCOPED_TRACE(what + " threads " + std::to_string(threads));
+        ASSERT_EQ(got.num_vertices(), want.num_vertices());
+        ASSERT_EQ(got.num_edges(), want.num_edges());
+        ASSERT_EQ(got.directed(), want.directed());
+        EXPECT_EQ(to_vec(got.row_offsets()), to_vec(want.row_offsets()));
+        EXPECT_EQ(to_vec(got.adjacency()), to_vec(want.adjacency()));
+        EXPECT_EQ(to_vec(got.arc_weights()), to_vec(want.arc_weights()));
+        EXPECT_EQ(to_vec(got.arc_edge_id_array()),
+                  to_vec(want.arc_edge_id_array()));
+        EXPECT_EQ(got.edges(), want.edges());
+        EXPECT_EQ(got.weighted(), want.weighted());
+        EXPECT_EQ(got.adjacency_sorted(), want.adjacency_sorted());
       }
     }
   }

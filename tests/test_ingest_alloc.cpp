@@ -219,12 +219,15 @@ TEST(ApplyAlloc, RecordsAndArcsAreFreedOnceTheNextStageExists) {
 
 TEST(ApplyAlloc, RowsAreWrittenOnceAtTheirFinalSize) {
   // Insert only, onto an empty graph: the first 3/4 of the fixed edges give
-  // every vertex 48 neighbours, under the promote threshold, so every row
-  // stays flat.  Each row starts empty and is filled from its owner group
-  // once, in one allocation of exactly its final size.  (All the
-  // edges would give degree 64, a power of two, where push_back doubling
-  // also ends with no slack; at 48 it leaves 16 words per row.)
+  // every vertex 48 neighbours, and in the same batch a hub (vertex
+  // kVertices) joins the first 200 vertices, so one row is longer than 128
+  // entries and those 200 have 49.  Each row starts empty and is filled
+  // from its owner group once, in one allocation of exactly its final size.
+  // (All the edges would give degree 64, a power of two, where push_back
+  // doubling also ends with no slack; at 48 it leaves 16 words per row.)
   constexpr vid_t kBatch = 3 * kEdges / 4;
+  constexpr vid_t kHub = kVertices;
+  constexpr vid_t kHubDegree = 200;
   for (const int threads : {1, 4}) {
     snap::parallel::ThreadScope scope(threads);
     StreamingGraph sg(0, /*directed=*/false);
@@ -234,14 +237,20 @@ TEST(ApplyAlloc, RowsAreWrittenOnceAtTheirFinalSize) {
       const auto [u, v] = edge_at(i);
       batch.insert(u, v);
     }
+    for (vid_t v = 0; v < kHubDegree; ++v) batch.insert(kHub, v);
     ASSERT_EQ(sg.apply(std::move(batch)).applied_inserts,
-              static_cast<std::size_t>(kBatch));
+              static_cast<std::size_t>(kBatch + kHubDegree));
 
-    const auto& rows = snap::debug::Access::flat(sg.graph());
-    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kVertices));
+    const auto& rows = snap::debug::Access::rows(sg.graph());
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kVertices + 1));
+    const auto& hub = rows[static_cast<std::size_t>(kHub)];
+    ASSERT_EQ(hub.size(), static_cast<std::size_t>(kHubDegree));
+    EXPECT_EQ(hub.capacity(), hub.size()) << "threads=" << threads;
     std::size_t slack_rows = 0;
-    for (const auto& row : rows) {
-      ASSERT_EQ(row.size(), static_cast<std::size_t>(2 * kBatch / kVertices));
+    for (vid_t v = 0; v < kVertices; ++v) {
+      const auto& row = rows[static_cast<std::size_t>(v)];
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(
+                                2 * kBatch / kVertices + (v < kHubDegree)));
       slack_rows += row.capacity() != row.size() ? 1 : 0;
     }
     EXPECT_EQ(slack_rows, 0u)

@@ -559,7 +559,7 @@ TEST_F(IoTest, BinaryLegacyV1RefusesWhatItCannotBuild) {
   // own (at most 2^32) and every endpoint against it; each refusal is a
   // runtime_error, never bad_alloc or from_edges' out_of_range.
   const auto legacy = [&](std::int64_t n, std::int64_t u, std::int64_t v) {
-    const auto p = track(path("legacy_bad.bin"));
+    const auto p = track(path("v1_bad.bin"));
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     const char magic[8] = {'S', 'N', 'A', 'P', 'B', '1', '\n', '\0'};
     out.write(magic, 8);

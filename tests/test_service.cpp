@@ -82,7 +82,8 @@ std::string seed_body() {
 CSRGraph offline_graph() {
   snap::stream::StreamingGraph sg(kN, /*directed=*/false);
   sg.apply(seed_batch());
-  return sg.snapshot();
+  const snap::stream::SnapshotHandle pinned = sg.pin();
+  return pinned->graph();
 }
 
 class ServiceTest : public ::testing::Test {

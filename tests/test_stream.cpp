@@ -344,22 +344,28 @@ TEST(StreamingGraph, SerialAndParallelApplyAgree) {
   StreamingGraph ss = StreamingGraph::from_csr(base);
   sp.apply(b);
   ss.apply_serial(b);
-  expect_same_csr(sp.snapshot(), ss.snapshot());
+  expect_same_csr(sp.pin()->graph(), ss.pin()->graph());
 }
 
 TEST(StreamingGraph, SnapshotIsEpochCached) {
+  // Lazy mode: the first pin of an epoch builds its snapshot, and every
+  // later pin of that epoch returns the same handle.
   StreamingGraph sg(4, false);
   UpdateBatch b;
   b.insert(0, 1);
   sg.apply(b);
-  const CSRGraph* s1 = &sg.snapshot();
-  const CSRGraph* s2 = &sg.snapshot();
+  const stream::SnapshotHandle s1 = sg.pin();
+  const stream::SnapshotHandle s2 = sg.pin();
   EXPECT_EQ(s1, s2);
-  EXPECT_EQ(s1->num_edges(), 1);
+  EXPECT_EQ(s1->graph().num_edges(), 1);
   UpdateBatch b2;
   b2.insert(1, 2);
   sg.apply(b2);
-  EXPECT_EQ(sg.snapshot().num_edges(), 2);
+  const stream::SnapshotHandle s3 = sg.pin();
+  EXPECT_NE(s3, s1);
+  EXPECT_EQ(s3->epoch(), 2u);
+  EXPECT_EQ(s3->graph().num_edges(), 2);
+  EXPECT_EQ(s1->graph().num_edges(), 1);  // the pinned epoch is unchanged
   EXPECT_EQ(sg.epoch(), 2u);
 }
 
@@ -538,7 +544,8 @@ TEST(ClusteringObserver, MultiEdgeTriangleChangesInOneBatch) {
   b2.insert(1, 3);
   sg.apply(b2);
   EXPECT_EQ(cc.triangles(), 1);  // {1,2,3}
-  const CSRGraph snap_csr = sg.snapshot();
+  const stream::SnapshotHandle pinned = sg.pin();
+  const CSRGraph& snap_csr = pinned->graph();
   EXPECT_NEAR(cc.global_clustering(),
               global_clustering_coefficient(snap_csr), 1e-12);
   EXPECT_NEAR(cc.average_clustering(),

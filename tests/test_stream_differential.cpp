@@ -111,9 +111,8 @@ class SerialOracle {
     // adjacency itself — a to_csr() round trip would drop self loops.
     DynamicGraph bigger(n, g_.directed());
     for (vid_t u = 0; u < g_.num_vertices(); ++u)
-      g_.for_each_neighbor(u, [&](vid_t v) {
+      for (const vid_t v : g_.neighbors(u))
         if (g_.directed() || u <= v) bigger.insert_edge(u, v);
-      });
     g_ = std::move(bigger);
   }
 
@@ -130,11 +129,8 @@ struct ObserverChecks {
 /// a from-scratch recomputation on the oracle graph.
 void run_differential(const CSRGraph& base,
                       const std::vector<std::vector<UpdateRecord>>& batches,
-                      int threads, eid_t promote_threshold,
-                      bool check_observers) {
-  DynamicGraph dyn =
-      DynamicGraph::from_csr(base, promote_threshold);
-  StreamingGraph sg(std::move(dyn));
+                      int threads, bool check_observers) {
+  StreamingGraph sg = StreamingGraph::from_csr(base);
   SerialOracle oracle(base);
 
   ComponentsObserver comps(sg.graph());
@@ -207,8 +203,7 @@ TEST(StreamDifferential, ErdosRenyiMixedStreamAllThreadCounts) {
                                    /*batch_size=*/800, /*delete_pct=*/35, 11);
   for (int t : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(t));
-    run_differential(base, batches, t, /*promote_threshold=*/128,
-                     /*check_observers=*/true);
+    run_differential(base, batches, t, /*check_observers=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -224,21 +219,7 @@ TEST(StreamDifferential, RmatMixedStreamAllThreadCounts) {
                   /*batch_size=*/1000, /*delete_pct=*/30, 29);
   for (int t : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(t));
-    run_differential(base, batches, t, /*promote_threshold=*/128,
-                     /*check_observers=*/true);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(StreamDifferential, LowPromoteThresholdExercisesTreaps) {
-  // promote_threshold = 2 promotes nearly every touched vertex to a treap,
-  // so the parallel path must keep treap shapes byte-identical too.
-  const CSRGraph base = gen::erdos_renyi(150, 700, false, 3);
-  const auto batches = make_stream(150, 4, 600, 40, 17);
-  for (int t : {1, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(t));
-    run_differential(base, batches, t, /*promote_threshold=*/2,
-                     /*check_observers=*/false);
+    run_differential(base, batches, t, /*check_observers=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -248,8 +229,7 @@ TEST(StreamDifferential, DirectedStream) {
   const auto batches = make_stream(310, 4, 700, 30, 5);
   for (int t : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(t));
-    run_differential(base, batches, t, /*promote_threshold=*/128,
-                     /*check_observers=*/true);
+    run_differential(base, batches, t, /*check_observers=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -259,25 +239,23 @@ TEST(StreamDifferential, InsertOnlyFromEmpty) {
   const auto batches = make_stream(256, 5, 900, /*delete_pct=*/0, 41);
   for (int t : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(t));
-    run_differential(base, batches, t, /*promote_threshold=*/128,
-                     /*check_observers=*/true);
+    run_differential(base, batches, t, /*check_observers=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 // Owner groups at the apply's boundaries.  Vertex 250 starts isolated and
-// takes threshold + 5 neighbours in one batch (its row is filled past the
-// promote threshold by one group), then a group of present inserts, absent
-// deletes and effective updates of both kinds; vertex 251's row is filled
+// takes 133 neighbours in one batch (one group fills its row past 128
+// entries), then a group of present inserts, absent deletes and effective
+// updates of both kinds; vertex 251's row is filled
 // from empty, shrinks to empty in one group and regrows from empty, with an
 // absent delete in both filling groups; vertex 255's row, filled from
 // empty, takes a group of deletes and inserts (one present) that keeps its
 // size and then one that grows it; self loops and both orientations of one
 // edge appear in the same batch.  Every batch must leave the image and the
 // ApplyStats the one-edge oracle gives.
-std::vector<std::vector<UpdateRecord>> boundary_batches(eid_t threshold,
-                                                        std::uint64_t seed) {
-  const auto hub_span = static_cast<vid_t>(threshold + 5);
+std::vector<std::vector<UpdateRecord>> boundary_batches(std::uint64_t seed) {
+  const vid_t hub_span = 133;
   std::vector<std::vector<UpdateRecord>> batches(3);
   std::uint64_t t = 0;
   const auto add = [&](std::size_t b, vid_t u, vid_t v, UpdateKind kind) {
@@ -350,49 +328,45 @@ TEST(StreamDifferential, GroupBoundariesMatchOneEdgeOracle) {
   // An Erdős–Rényi graph on 0..249; 250..299 start isolated.
   const CSRGraph er = gen::erdos_renyi(250, 800, false, 19);
   const CSRGraph base = CSRGraph::from_edges(300, er.edges().to_list(), false);
-  for (const eid_t threshold : {2, 8, 128}) {
-    const auto batches = boundary_batches(threshold, 23);
-    for (const int threads : {1, 2, 4, 8}) {
-      const std::string what = "threshold " + std::to_string(threshold) +
-                                " threads " + std::to_string(threads);
-      SCOPED_TRACE(what);
-      StreamingGraph sg(DynamicGraph::from_csr(base, threshold));
-      DynamicGraph oracle = DynamicGraph::from_csr(base, threshold);
-      parallel::ThreadScope scope(threads);
-      for (std::size_t b = 0; b < batches.size(); ++b) {
-        const auto before = edge_set(oracle.to_csr());
-        for (const UpdateRecord& r : batches[b]) {
-          if (r.kind == UpdateKind::kInsert)
-            oracle.insert_edge(r.u, r.v);
-          else
-            oracle.delete_edge(r.u, r.v);
-        }
-        const CSRGraph want = oracle.to_csr();
-        const auto after = edge_set(want);
+  const auto batches = boundary_batches(23);
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    StreamingGraph sg = StreamingGraph::from_csr(base);
+    DynamicGraph oracle = DynamicGraph::from_csr(base);
+    parallel::ThreadScope scope(threads);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const auto before = edge_set(oracle.to_csr());
+      for (const UpdateRecord& r : batches[b]) {
+        if (r.kind == UpdateKind::kInsert)
+          oracle.insert_edge(r.u, r.v);
+        else
+          oracle.delete_edge(r.u, r.v);
+      }
+      const CSRGraph want = oracle.to_csr();
+      const auto after = edge_set(want);
 
-        UpdateBatch batch;
-        batch.assign(batches[b]);
-        const std::size_t arcs = batch.canonicalize(false).arcs.size();
-        const stream::ApplyStats st = sg.apply(std::move(batch));
-        EXPECT_EQ(st.raw_records, batches[b].size());
-        EXPECT_EQ(st.canonical_arcs, arcs);
-        EXPECT_EQ(st.applied_inserts, count_missing(after, before))
-            << "batch " << b;
-        EXPECT_EQ(st.applied_deletes, count_missing(before, after))
-            << "batch " << b;
-        const debug::ValidationReport report = debug::validate(sg.graph());
-        ASSERT_TRUE(report.ok()) << report.to_string();
-        expect_same_csr(sg.graph().to_csr(), want,
-                        ("batch " + std::to_string(b)).c_str());
-        if (::testing::Test::HasFatalFailure()) return;
+      UpdateBatch batch;
+      batch.assign(batches[b]);
+      const std::size_t arcs = batch.canonicalize(false).arcs.size();
+      const stream::ApplyStats st = sg.apply(std::move(batch));
+      EXPECT_EQ(st.raw_records, batches[b].size());
+      EXPECT_EQ(st.canonical_arcs, arcs);
+      EXPECT_EQ(st.applied_inserts, count_missing(after, before))
+          << "batch " << b;
+      EXPECT_EQ(st.applied_deletes, count_missing(before, after))
+          << "batch " << b;
+      const debug::ValidationReport report = debug::validate(sg.graph());
+      ASSERT_TRUE(report.ok()) << report.to_string();
+      expect_same_csr(sg.graph().to_csr(), want,
+                      ("batch " + std::to_string(b)).c_str());
+      if (::testing::Test::HasFatalFailure()) return;
 
-        // The batches reach the boundaries they are named for.
-        if (b == 0) {
-          EXPECT_TRUE(sg.graph().is_promoted(250)) << "no upward crossing";
-        }
-        if (b == 1) {
-          EXPECT_EQ(sg.graph().degree(251), 0) << "row 251 not emptied";
-        }
+      // The batches reach the boundaries they are named for.
+      if (b == 0) {
+        EXPECT_GT(sg.graph().degree(250), 128) << "hub row not filled";
+      }
+      if (b == 1) {
+        EXPECT_EQ(sg.graph().degree(251), 0) << "row 251 not emptied";
       }
     }
   }

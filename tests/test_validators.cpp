@@ -15,7 +15,6 @@
 #include "snap/debug/check.hpp"
 #include "snap/debug/validate.hpp"
 #include "snap/ds/dendrogram.hpp"
-#include "snap/ds/treap.hpp"
 #include "snap/ds/union_find.hpp"
 #include "snap/gen/generators.hpp"
 #include "snap/graph/csr_graph.hpp"
@@ -79,43 +78,11 @@ TEST(ValidateCSR, NonMonotoneOffsetsCaught) {
   EXPECT_TRUE(mentions(r, "offsets")) << r.to_string();
 }
 
-// ---------------------------------------------------------------- Treap
-
-TEST(ValidateTreap, CleanTreapPasses) {
-  Treap t;
-  for (std::int64_t k : {5, 1, 9, 3, 7, 2, 8}) t.insert(k);
-  const ValidationReport r = debug::validate(t);
-  EXPECT_TRUE(r.ok()) << r.to_string();
-}
-
-TEST(ValidateTreap, CorruptPriorityCaught) {
-  Treap t;
-  for (std::int64_t k = 0; k < 64; ++k) t.insert(k * 3);
-  Treap::Node* root = Access::mutable_root(t);
-  ASSERT_NE(root, nullptr);
-  root->prio = 0;  // no longer the key hash; with children, heap order breaks
-  const ValidationReport r = debug::validate(t);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(mentions(r, "prio")) << r.to_string();
-}
-
-TEST(ValidateTreap, CorruptKeyBreaksBstOrder) {
-  Treap t;
-  for (std::int64_t k = 0; k < 64; ++k) t.insert(k);
-  Treap::Node* root = Access::mutable_root(t);
-  ASSERT_NE(root, nullptr);
-  ASSERT_NE(root->left, nullptr);
-  root->left->key = root->key + 1000;  // left subtree must stay < root
-  const ValidationReport r = debug::validate(t);
-  ASSERT_FALSE(r.ok());
-}
-
 // --------------------------------------------------------- DynamicGraph
 
 TEST(ValidateDynamicGraph, CleanGraphPasses) {
   const DynamicGraph d =
-      DynamicGraph::from_csr(gen::erdos_renyi(150, 600, false, 7),
-                             /*promote_threshold=*/4);
+      DynamicGraph::from_csr(gen::erdos_renyi(150, 600, false, 7));
   const ValidationReport r = debug::validate(d);
   EXPECT_TRUE(r.ok()) << r.to_string();
 }
@@ -134,8 +101,8 @@ TEST(ValidateDynamicGraph, MissingMirrorArcCaught) {
   DynamicGraph d(4, /*directed=*/false);
   d.insert_edge(0, 1);
   d.insert_edge(2, 3);
-  // Remove 1 from 0's flat adjacency but leave 0 in 1's: asymmetry.
-  auto& row = Access::mutable_flat(d)[0];
+  // Remove 1 from 0's row but leave 0 in 1's: asymmetry.
+  auto& row = Access::mutable_rows(d)[0];
   ASSERT_EQ(row.size(), 1u);
   row.clear();
   const ValidationReport r = debug::validate(d);
@@ -145,18 +112,20 @@ TEST(ValidateDynamicGraph, MissingMirrorArcCaught) {
 
 TEST(ValidateDynamicGraph, UnsortedFlatRowCaught) {
   // Same neighbour set, wrong order: only the ascending-row check sees it
-  // (the mirror check scans rows linearly and still finds every arc).
+  // (the mirror check scans a row that failed it linearly and still finds
+  // every arc).
   DynamicGraph d(4, /*directed=*/false);
   d.insert_edge(0, 1);
   d.insert_edge(0, 2);
   d.insert_edge(0, 3);
-  auto& row = Access::mutable_flat(d)[0];
+  auto& row = Access::mutable_rows(d)[0];
   ASSERT_EQ(row, (std::vector<vid_t>{1, 2, 3}));
   ASSERT_TRUE(debug::validate(d).ok());
   std::swap(row[0], row[2]);
   const ValidationReport r = debug::validate(d);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(mentions(r, "ascending")) << r.to_string();
+  EXPECT_FALSE(mentions(r, "mirror")) << r.to_string();
 }
 
 // ------------------------------------------------------------ UnionFind
@@ -293,7 +262,7 @@ TEST(ValidateStreamingGraph, FreshSnapshotCoherent) {
   b.insert(1, 2);
   b.insert(2, 2);  // self loop must survive into the snapshot
   sg.apply(b);
-  ASSERT_EQ(sg.snapshot().num_edges(), 3);
+  ASSERT_EQ(sg.pin()->graph().num_edges(), 3);
   const ValidationReport r = debug::validate(sg);
   EXPECT_TRUE(r.ok()) << r.to_string();
 }
