@@ -1,8 +1,9 @@
 // bench_memory: the memory-system performance bench.
 //
 // Runs BFS, connected components, sampled betweenness, PageRank (10
-// fixed-point iterations), and (in full mode) Louvain over one corpus
-// instance in up to five memory layouts:
+// fixed-point iterations), the triangle count behind the clustering
+// coefficients, and (in full mode) Louvain over one corpus instance in up
+// to five memory layouts:
 //
 //   baseline     the graph exactly as generated/loaded
 //   degree       relabel_by_degree pre-pass (hubs first)
@@ -18,6 +19,8 @@
 //
 // It also times the SNAPB2 load of the instance (`load:snapb2`, median of
 // 5 read_binary calls; the file's size is the exact count `bytes:snapb2`).
+// The triangle total is the exact count `count:triangles`: relabelling
+// keeps the edge set, so it is the same in every layout.
 //
 // Every kernel uses the same logical source vertices in every layout (ids
 // mapped through the relabeling permutation), so the numbers isolate the
@@ -52,6 +55,7 @@
 #include "snap/kernels/bfs.hpp"
 #include "snap/kernels/connected_components.hpp"
 #include "snap/kernels/pagerank.hpp"
+#include "snap/metrics/metrics.hpp"
 #include "snap/partition/partitioned_csr.hpp"
 #include "snap/util/parallel.hpp"
 #include "snap/util/timer.hpp"
@@ -242,6 +246,7 @@ int main(int argc, char** argv) {
 
   // --- Kernels over the flat layouts ------------------------------------
   std::map<std::string, double> times;  // "<kernel>:<layout>" -> seconds
+  std::int64_t triangles = 0;
   for (const Layout& l : layouts) {
     const CSRGraph& lg = *l.graph;
     const vid_t src = mapped(l, bfs_src);
@@ -271,6 +276,12 @@ int main(int argc, char** argv) {
     });
     rec("pagerank:" + l.name, times["pagerank:" + l.name]);
 
+    times["triangles:" + l.name] = time_best(reps, sink, [&] {
+      triangles = snap::count_triangles(lg).num_triangles;
+      return static_cast<double>(triangles);
+    });
+    rec("triangles:" + l.name, times["triangles:" + l.name]);
+
     if (!smoke) {
       times["louvain:" + l.name] = time_best(1, sink, [&] {
         return snap::louvain(lg).community.modularity;
@@ -278,6 +289,8 @@ int main(int argc, char** argv) {
       rec("louvain:" + l.name, times["louvain:" + l.name]);
     }
   }
+  report.record_count(dataset, params, threads, "count:triangles", triangles);
+  std::printf("triangles: %lld\n", static_cast<long long>(triangles));
 
   // --- Compressed (BFS: the bandwidth-bound kernel) ----------------------
   {
@@ -347,8 +360,8 @@ int main(int argc, char** argv) {
   // --- Speedup table vs baseline ----------------------------------------
   std::printf("\n%-10s %-12s %10s %10s\n", "kernel", "layout", "seconds",
               "speedup");
-  const std::vector<std::string> kernels = {"bfs", "cc", "bc", "pagerank",
-                                            "louvain", "degree"};
+  const std::vector<std::string> kernels = {
+      "bfs", "cc", "bc", "pagerank", "triangles", "louvain", "degree"};
   for (const std::string& k : kernels) {
     const auto base = times.find(k + ":baseline");
     for (const auto& [key, sec] : times) {

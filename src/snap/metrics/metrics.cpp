@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "snap/graph/dynamic_graph.hpp"
 #include "snap/kernels/connected_components.hpp"
 #include "snap/metrics/path_length.hpp"
 #include "snap/util/parallel.hpp"
@@ -24,82 +25,101 @@ std::vector<eid_t> degree_histogram(const CSRGraph& g) {
   return hist;
 }
 
-namespace {
+double TriangleCounts::local(vid_t v) const {
+  const eid_t d = degree[static_cast<std::size_t>(v)];
+  if (d < 2) return 0.0;
+  return 2.0 * static_cast<double>(triangles[static_cast<std::size_t>(v)]) /
+         (static_cast<double>(d) * static_cast<double>(d - 1));
+}
 
-/// Triangles incident to v, counting each once per incident pair (u, w) —
-/// i.e. the numerator of v's local clustering coefficient.  Uses sorted-
-/// adjacency merge intersection.
-eid_t wedge_closures(const CSRGraph& g, vid_t v) {
-  const auto nv = g.neighbors(v);
-  eid_t closed = 0;
-  for (vid_t u : nv) {
-    if (u == v) continue;  // self-loop arcs close no wedges
-    // |N(v) ∩ N(u)| counts w adjacent to both; each closed wedge (u, w)
-    // appears twice over the u loop, so the caller divides by 2.
-    const auto nu = g.neighbors(u);
-    std::size_t i = 0, j = 0;
-    while (i < nv.size() && j < nu.size()) {
-      if (nv[i] < nu[j]) {
-        ++i;
-      } else if (nv[i] > nu[j]) {
-        ++j;
-      } else {
-        if (nv[i] != v && nv[i] != u) ++closed;
-        ++i;
-        ++j;
-      }
-    }
+double TriangleCounts::average() const {
+  if (degree.empty()) return 0.0;
+  double sum = 0;
+  for (vid_t v = 0; v < static_cast<vid_t>(degree.size()); ++v)
+    sum += local(v);
+  return sum / static_cast<double>(degree.size());
+}
+
+double TriangleCounts::global() const {
+  return num_wedges == 0 ? 0.0
+                         : static_cast<double>(3 * num_triangles) /
+                               static_cast<double>(num_wedges);
+}
+
+template <typename G>
+TriangleCounts count_triangles(const G& g) {
+  const vid_t n = g.num_vertices();
+  TriangleCounts t;
+  t.degree.assign(static_cast<std::size_t>(n), 0);
+  t.triangles.assign(static_cast<std::size_t>(n), 0);
+  auto credit = [&t](vid_t x, std::int64_t c) {
+    // reduction: integer triangle credits; integer sums do not depend on
+    // the order of the adds, so the counts are identical at every thread
+    // count.
+    std::atomic_ref<std::int64_t>(t.triangles[static_cast<std::size_t>(x)])
+        .fetch_add(c, std::memory_order_relaxed);
+  };
+  parallel::parallel_for_dynamic(
+      n,
+      [&](vid_t u) {
+        const auto au = g.neighbors(u);
+        const auto [lo, hi] = std::equal_range(au.begin(), au.end(), u);
+        t.degree[static_cast<std::size_t>(u)] =
+            static_cast<eid_t>(au.size()) - static_cast<eid_t>(hi - lo);
+        // Above u the row is strictly ascending, so the entries after v are
+        // exactly u's neighbours above v.
+        std::int64_t tu = 0;
+        for (auto it = hi; it != au.end(); ++it) {
+          const vid_t v = *it;
+          const auto av = g.neighbors(v);
+          auto iu = it + 1;
+          auto iv = std::upper_bound(av.begin(), av.end(), v);
+          std::int64_t tv = 0;
+          while (iu != au.end() && iv != av.end()) {
+            if (*iu < *iv) {
+              ++iu;
+            } else if (*iv < *iu) {
+              ++iv;
+            } else {
+              credit(*iu, 1);
+              ++tv;
+              ++iu;
+              ++iv;
+            }
+          }
+          if (tv != 0) credit(v, tv);
+          tu += tv;
+        }
+        if (tu != 0) credit(u, tu);
+      },
+      16);
+  std::int64_t corners = 0;
+  for (vid_t v = 0; v < n; ++v) {
+    const eid_t d = t.degree[static_cast<std::size_t>(v)];
+    corners += t.triangles[static_cast<std::size_t>(v)];
+    t.num_wedges += d * (d - 1) / 2;
   }
-  return closed / 2;
+  t.num_triangles = corners / 3;
+  return t;
 }
 
-/// Degree excluding self-loop arcs (a loop stores two arcs to v itself).
-/// Clustering coefficients are defined on the simple graph: loops close no
-/// wedges, so counting their arcs in the denominator deflates the ratio.
-eid_t simple_degree(const CSRGraph& g, vid_t v) {
-  const auto nv = g.neighbors(v);
-  eid_t d = static_cast<eid_t>(nv.size());
-  for (vid_t u : nv)
-    if (u == v) --d;
-  return d;
-}
-
-}  // namespace
+template TriangleCounts count_triangles(const CSRGraph&);
+template TriangleCounts count_triangles(const DynamicGraph&);
 
 std::vector<double> local_clustering_coefficients(const CSRGraph& g) {
-  const vid_t n = g.num_vertices();
-  std::vector<double> cc(static_cast<std::size_t>(n), 0.0);
-  parallel::parallel_for_dynamic(n, [&](vid_t v) {
-    const eid_t d = simple_degree(g, v);
-    if (d < 2) return;
-    const eid_t closed = wedge_closures(g, v);
-    cc[static_cast<std::size_t>(v)] =
-        2.0 * static_cast<double>(closed) /
-        (static_cast<double>(d) * static_cast<double>(d - 1));
-  });
+  const TriangleCounts t = count_triangles(g);
+  std::vector<double> cc(t.degree.size());
+  for (vid_t v = 0; v < static_cast<vid_t>(cc.size()); ++v)
+    cc[static_cast<std::size_t>(v)] = t.local(v);
   return cc;
 }
 
 double average_clustering_coefficient(const CSRGraph& g) {
-  const auto cc = local_clustering_coefficients(g);
-  if (cc.empty()) return 0;
-  double sum = 0;
-  for (double c : cc) sum += c;
-  return sum / static_cast<double>(cc.size());
+  return count_triangles(g).average();
 }
 
 double global_clustering_coefficient(const CSRGraph& g) {
-  const vid_t n = g.num_vertices();
-  std::atomic<eid_t> closed{0}, wedges{0};
-  parallel::parallel_for_dynamic(n, [&](vid_t v) {
-    const eid_t d = simple_degree(g, v);
-    if (d < 2) return;
-    closed.fetch_add(wedge_closures(g, v), std::memory_order_relaxed);
-    wedges.fetch_add(d * (d - 1) / 2, std::memory_order_relaxed);
-  });
-  const auto w = wedges.load();
-  return w == 0 ? 0.0
-                : static_cast<double>(closed.load()) / static_cast<double>(w);
+  return count_triangles(g).global();
 }
 
 std::vector<double> rich_club_coefficients(const CSRGraph& g) {

@@ -15,6 +15,33 @@ double average_degree(const CSRGraph& g);
 /// vertices.
 std::vector<eid_t> degree_histogram(const CSRGraph& g);
 
+/// The triangle census every clustering coefficient reads, with the one copy
+/// of the three coefficient formulas.  Self loops are ignored: degrees here
+/// count distinct neighbours other than the vertex itself.
+struct TriangleCounts {
+  std::vector<eid_t> degree;            ///< self-loop-free degree per vertex
+  std::vector<std::int64_t> triangles;  ///< triangles through each vertex
+  std::int64_t num_triangles = 0;
+  std::int64_t num_wedges = 0;  ///< Σ C(degree, 2): paths of length 2
+
+  /// Watts–Strogatz local coefficient of v, 2 t(v) / (d (d − 1)); 0 for d < 2.
+  [[nodiscard]] double local(vid_t v) const;
+  /// Mean of local(v), summed in ascending v on one thread; 0 when n = 0.
+  [[nodiscard]] double average() const;
+  /// Transitivity, 3 * triangles / wedges; 0 when there are no wedges.
+  [[nodiscard]] double global() const;
+};
+
+/// Counts every triangle {u < v < w} once, at its (u, v) edge, by
+/// intersecting the two rows above v; vertices run in parallel and credit
+/// the three corners with integer adds, so the result is identical at every
+/// thread count.  Needs only num_vertices() and ascending neighbors(v)
+/// spans: instantiated for CSRGraph and DynamicGraph.  Requires the sorted
+/// rows of an undirected simple graph; self loops (two row entries per loop
+/// in a CSRGraph, one in a DynamicGraph) are allowed and ignored.
+template <typename G>
+TriangleCounts count_triangles(const G& g);
+
 /// Local clustering coefficient of every vertex: the fraction of a vertex's
 /// neighbor pairs that are themselves connected.  Degree < 2 vertices get 0.
 /// Requires an undirected graph with sorted adjacency.
@@ -24,7 +51,7 @@ std::vector<double> local_clustering_coefficients(const CSRGraph& g);
 /// clustering coefficient").
 double average_clustering_coefficient(const CSRGraph& g);
 
-/// Global (transitivity) clustering coefficient: 3 * triangles / open triads.
+/// Global (transitivity) clustering coefficient: 3 * triangles / wedges.
 double global_clustering_coefficient(const CSRGraph& g);
 
 /// Rich-club coefficient φ(k): density of the subgraph induced by vertices

@@ -66,6 +66,32 @@ bool parse_int_param(const HttpRequest& req, std::string_view key,
   return true;
 }
 
+/// The k highest-scoring vertices as rows {"vertex": v, key: score}, by
+/// score descending with ties toward the smaller vertex id.  k <= n.
+Value top_k_rows(const std::vector<double>& scores, std::int64_t k,
+                 std::string_view key) {
+  std::vector<vid_t> order(scores.size());
+  for (std::size_t v = 0; v < order.size(); ++v)
+    order[v] = static_cast<vid_t>(v);
+  const auto top_end = order.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(order.begin(), top_end, order.end(),
+                    [&scores](vid_t a, vid_t b) {
+                      const double sa = scores[static_cast<std::size_t>(a)];
+                      const double sb = scores[static_cast<std::size_t>(b)];
+                      if (sa != sb) return sa > sb;
+                      return a < b;
+                    });
+  Value top = Value::array();
+  for (std::int64_t i = 0; i < k; ++i) {
+    const vid_t v = order[static_cast<std::size_t>(i)];
+    Value row = Value::object();
+    row.set("vertex", v);
+    row.set(key, scores[static_cast<std::size_t>(v)]);
+    top.push_back(row);
+  }
+  return top;
+}
+
 /// The /ingest decoder: follows the document's nesting by depth (the open
 /// containers) and writes each record of the current top-level "updates"
 /// array into its slots as the record closes.  The root object's members
@@ -573,8 +599,9 @@ HttpResponse GraphService::handle_clustering() {
         400, "clustering coefficients require an undirected graph");
   Value out = Value::object();
   out.set("epoch", static_cast<std::int64_t>(snap->epoch()));
-  out.set("average", average_clustering_coefficient(g));
-  out.set("global", global_clustering_coefficient(g));
+  const TriangleCounts t = count_triangles(g);
+  out.set("average", t.average());
+  out.set("global", t.global());
   return json_response(200, out);
 }
 
@@ -637,34 +664,14 @@ HttpResponse GraphService::handle_bc_topk(const HttpRequest& request) {
   }
 
   const std::vector<double> scores = approx_vertex_betweenness(g, sources);
-
-  // Top-k by score descending, ties toward the smaller vertex id.
-  std::vector<vid_t> order(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  const auto kk = static_cast<std::size_t>(std::min<std::int64_t>(k, n));
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(kk),
-                    order.end(), [&scores](vid_t a, vid_t b) {
-                      const double sa = scores[static_cast<std::size_t>(a)];
-                      const double sb = scores[static_cast<std::size_t>(b)];
-                      if (sa != sb) return sa > sb;
-                      return a < b;
-                    });
-
-  Value top = Value::array();
-  for (std::size_t i = 0; i < kk; ++i) {
-    Value row = Value::object();
-    row.set("vertex", order[i]);
-    row.set("score", scores[static_cast<std::size_t>(order[i])]);
-    top.push_back(row);
-  }
+  const std::int64_t kk = std::min<std::int64_t>(k, n);
   Value out = Value::object();
   out.set("epoch", static_cast<std::int64_t>(snap->epoch()));
-  out.set("k", static_cast<std::int64_t>(kk));
+  out.set("k", kk);
   out.set("samples",
           static_cast<std::int64_t>(std::min<std::int64_t>(samples, n)));
   out.set("seed", seed);
-  out.set("top", top);
+  out.set("top", top_k_rows(scores, kk, "score"));
   return json_response(200, out);
 }
 
@@ -691,32 +698,12 @@ HttpResponse GraphService::handle_pagerank_topk(const HttpRequest& request) {
   params.max_iters = static_cast<int>(std::min<std::int64_t>(iters, 10000));
   params.tol = 0.0;
   const PageRankResult r = pagerank(g, params);
-
-  // Top-k by rank descending, ties toward the smaller vertex id.
-  std::vector<vid_t> order(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  const auto kk = static_cast<std::size_t>(std::min<std::int64_t>(k, n));
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(kk),
-                    order.end(), [&r](vid_t a, vid_t b) {
-                      const double ra = r.rank[static_cast<std::size_t>(a)];
-                      const double rb = r.rank[static_cast<std::size_t>(b)];
-                      if (ra != rb) return ra > rb;
-                      return a < b;
-                    });
-
-  Value top = Value::array();
-  for (std::size_t i = 0; i < kk; ++i) {
-    Value row = Value::object();
-    row.set("vertex", order[i]);
-    row.set("rank", r.rank[static_cast<std::size_t>(order[i])]);
-    top.push_back(row);
-  }
+  const std::int64_t kk = std::min<std::int64_t>(k, n);
   Value out = Value::object();
   out.set("epoch", static_cast<std::int64_t>(snap->epoch()));
-  out.set("k", static_cast<std::int64_t>(kk));
+  out.set("k", kk);
   out.set("iters", static_cast<std::int64_t>(params.max_iters));
-  out.set("top", top);
+  out.set("top", top_k_rows(r.rank, kk, "rank"));
   return json_response(200, out);
 }
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "snap/debug/validate.hpp"
+
 namespace snap::stream {
 
 // ---------------------------------------------------------------- components
@@ -46,6 +48,7 @@ void ComponentsObserver::rebuild() {
       if (u <= v || graph_.directed()) uf_.unite(u, v);
   stale_ = false;
   ++rebuilds_;
+  SNAP_VALIDATE(uf_);
 }
 
 // ------------------------------------------------------------- degree stats
@@ -107,45 +110,7 @@ ClusteringObserver::ClusteringObserver(const DynamicGraph& graph)
     throw std::invalid_argument(
         "ClusteringObserver: undirected graphs only (as the static "
         "clustering metrics)");
-  const vid_t n = graph.num_vertices();
-  deg_.assign(static_cast<std::size_t>(n), 0);
-  tri_.assign(static_cast<std::size_t>(n), 0);
-
-  // From-scratch seed, straight from the rows (ascending sets): each
-  // self-loop-free degree is the row size less v's own entry, and every
-  // triangle {u < v < w} is found once via its (u, v) edge by intersecting
-  // the two rows above v, where no self loop can appear.
-  for (vid_t v = 0; v < n; ++v) {
-    const auto row = graph.neighbors(v);
-    const auto d = static_cast<eid_t>(row.size()) -
-                   (std::binary_search(row.begin(), row.end(), v) ? 1 : 0);
-    deg_[static_cast<std::size_t>(v)] = d;
-    wedges_ += static_cast<std::int64_t>(d) * (d - 1) / 2;
-  }
-  for (vid_t u = 0; u < n; ++u) {
-    const auto au = graph.neighbors(u);
-    for (vid_t v : au) {
-      if (v <= u) continue;
-      const auto av = graph.neighbors(v);
-      auto iu = std::upper_bound(au.begin(), au.end(), v);
-      auto iv = std::upper_bound(av.begin(), av.end(), v);
-      while (iu != au.end() && iv != av.end()) {
-        if (*iu < *iv) {
-          ++iu;
-        } else if (*iv < *iu) {
-          ++iv;
-        } else {
-          const vid_t w = *iu;
-          ++triangles_;
-          ++tri_[static_cast<std::size_t>(u)];
-          ++tri_[static_cast<std::size_t>(v)];
-          ++tri_[static_cast<std::size_t>(w)];
-          ++iu;
-          ++iv;
-        }
-      }
-    }
-  }
+  counts_ = count_triangles(graph);
 }
 
 namespace {
@@ -172,9 +137,11 @@ const DeltaArc* find_delta(const DeltaIndex& delta, vid_t x, vid_t y) {
 }  // namespace
 
 void ClusteringObserver::on_batch(const AppliedBatch& batch) {
-  if (static_cast<std::size_t>(batch.num_vertices) > deg_.size()) {
-    deg_.resize(static_cast<std::size_t>(batch.num_vertices), 0);
-    tri_.resize(static_cast<std::size_t>(batch.num_vertices), 0);
+  std::vector<eid_t>& deg = counts_.degree;
+  std::vector<std::int64_t>& tri = counts_.triangles;
+  if (static_cast<std::size_t>(batch.num_vertices) > deg.size()) {
+    deg.resize(static_cast<std::size_t>(batch.num_vertices), 0);
+    tri.resize(static_cast<std::size_t>(batch.num_vertices), 0);
   }
 
   // Self loops never partake in triangles or (self-loop-free) degrees.
@@ -217,8 +184,8 @@ void ClusteringObserver::on_batch(const AppliedBatch& batch) {
   std::vector<vid_t> commons;
   auto count_commons = [&](vid_t u, vid_t v) {
     commons.clear();
-    const vid_t a = deg_[static_cast<std::size_t>(u)] <=
-                            deg_[static_cast<std::size_t>(v)]
+    const vid_t a = deg[static_cast<std::size_t>(u)] <=
+                            deg[static_cast<std::size_t>(v)]
                         ? u
                         : v;
     const vid_t b = a == u ? v : u;
@@ -248,51 +215,30 @@ void ClusteringObserver::on_batch(const AppliedBatch& batch) {
     const auto [u, v] = dels[i];
     count_commons(u, v);
     const auto c = static_cast<std::int64_t>(commons.size());
-    triangles_ -= c;
-    tri_[static_cast<std::size_t>(u)] -= c;
-    tri_[static_cast<std::size_t>(v)] -= c;
-    for (vid_t w : commons) --tri_[static_cast<std::size_t>(w)];
-    wedges_ -= (deg_[static_cast<std::size_t>(u)] - 1) +
-               (deg_[static_cast<std::size_t>(v)] - 1);
-    --deg_[static_cast<std::size_t>(u)];
-    --deg_[static_cast<std::size_t>(v)];
+    counts_.num_triangles -= c;
+    tri[static_cast<std::size_t>(u)] -= c;
+    tri[static_cast<std::size_t>(v)] -= c;
+    for (vid_t w : commons) --tri[static_cast<std::size_t>(w)];
+    counts_.num_wedges -= (deg[static_cast<std::size_t>(u)] - 1) +
+                          (deg[static_cast<std::size_t>(v)] - 1);
+    --deg[static_cast<std::size_t>(u)];
+    --deg[static_cast<std::size_t>(v)];
     del_pending[i] = 0;
   }
   for (std::uint32_t i = 0; i < ins.size(); ++i) {
     const auto [u, v] = ins[i];
     count_commons(u, v);
     const auto c = static_cast<std::int64_t>(commons.size());
-    triangles_ += c;
-    tri_[static_cast<std::size_t>(u)] += c;
-    tri_[static_cast<std::size_t>(v)] += c;
-    for (vid_t w : commons) ++tri_[static_cast<std::size_t>(w)];
-    wedges_ += deg_[static_cast<std::size_t>(u)] +
-               deg_[static_cast<std::size_t>(v)];
-    ++deg_[static_cast<std::size_t>(u)];
-    ++deg_[static_cast<std::size_t>(v)];
+    counts_.num_triangles += c;
+    tri[static_cast<std::size_t>(u)] += c;
+    tri[static_cast<std::size_t>(v)] += c;
+    for (vid_t w : commons) ++tri[static_cast<std::size_t>(w)];
+    counts_.num_wedges += deg[static_cast<std::size_t>(u)] +
+                          deg[static_cast<std::size_t>(v)];
+    ++deg[static_cast<std::size_t>(u)];
+    ++deg[static_cast<std::size_t>(v)];
     ins_pending[i] = 0;
   }
-}
-
-double ClusteringObserver::global_clustering() const {
-  return wedges_ == 0 ? 0.0
-                      : 3.0 * static_cast<double>(triangles_) /
-                            static_cast<double>(wedges_);
-}
-
-double ClusteringObserver::local_clustering(vid_t v) const {
-  const eid_t d = deg_[static_cast<std::size_t>(v)];
-  if (d < 2) return 0.0;
-  return 2.0 * static_cast<double>(tri_[static_cast<std::size_t>(v)]) /
-         (static_cast<double>(d) * static_cast<double>(d - 1));
-}
-
-double ClusteringObserver::average_clustering() const {
-  if (deg_.empty()) return 0.0;
-  double sum = 0;
-  for (vid_t v = 0; v < static_cast<vid_t>(deg_.size()); ++v)
-    sum += local_clustering(v);
-  return sum / static_cast<double>(deg_.size());
 }
 
 }  // namespace snap::stream

@@ -6,16 +6,18 @@
 #include "snap/ds/union_find.hpp"
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/graph/types.hpp"
+#include "snap/metrics/metrics.hpp"
 #include "snap/stream/streaming_graph.hpp"
 
 namespace snap::stream {
 
-/// Connectivity maintained across applied batches — the batch-aware rewrite
-/// of kernels/IncrementalComponents.  Inserts fold into the union–find as
-/// whole batches; any effective deletion marks the tracker stale, and the
-/// rebuild is deferred to the next query, so the cost is amortized to at most
-/// one rebuild per batch no matter how many deletions the batch carried or
-/// how many queries follow it.
+/// Connectivity maintained across applied batches, a first piece of the
+/// dynamic-network analysis the paper lists as future work (§6).  Inserts
+/// fold into the union–find as whole batches; any effective deletion may
+/// split a component, which union–find cannot undo, so it marks the tracker
+/// stale, and the rebuild is deferred to the next query: the cost is
+/// amortized to at most one rebuild per batch no matter how many deletions
+/// the batch carried or how many queries follow it.
 class ComponentsObserver : public StreamObserver {
  public:
   /// Binds the tracker to `graph` (the DynamicGraph a StreamingGraph owns);
@@ -79,10 +81,10 @@ class DegreeStatsObserver : public StreamObserver {
 /// so every per-edge common-neighbor count is exact even when several edges
 /// of one triangle change in the same batch.
 ///
-/// Self loops are ignored throughout (as the static metrics do): degrees here
-/// are self-loop-free and match the CSR snapshot's, so global_clustering()
-/// and average_clustering() track metrics::{global,average}_clustering_
-/// coefficient of the pinned snapshot exactly.
+/// The state is one TriangleCounts, seeded by count_triangles and read
+/// through its formulas, so global_clustering() and average_clustering()
+/// equal metrics' {global,average}_clustering_coefficient of the pinned
+/// snapshot bit for bit.  Self loops are ignored throughout, as there.
 class ClusteringObserver : public StreamObserver {
  public:
   /// Undirected graphs only; throws std::invalid_argument on directed.
@@ -92,26 +94,29 @@ class ClusteringObserver : public StreamObserver {
   void on_batch(const AppliedBatch& batch) override;
 
   /// Total triangles in the current graph.
-  [[nodiscard]] std::int64_t triangles() const { return triangles_; }
+  [[nodiscard]] std::int64_t triangles() const {
+    return counts_.num_triangles;
+  }
   /// Total wedges (open + closed paths of length 2), sum of C(deg, 2).
-  [[nodiscard]] std::int64_t wedges() const { return wedges_; }
+  [[nodiscard]] std::int64_t wedges() const { return counts_.num_wedges; }
   /// Triangles through v.
   [[nodiscard]] std::int64_t triangles_at(vid_t v) const {
-    return tri_[static_cast<std::size_t>(v)];
+    return counts_.triangles[static_cast<std::size_t>(v)];
   }
   /// Transitivity: 3 * triangles / wedges (0 when no wedges).
-  [[nodiscard]] double global_clustering() const;
+  [[nodiscard]] double global_clustering() const { return counts_.global(); }
   /// Watts–Strogatz local coefficient of v (0 for degree < 2).
-  [[nodiscard]] double local_clustering(vid_t v) const;
+  [[nodiscard]] double local_clustering(vid_t v) const {
+    return counts_.local(v);
+  }
   /// Mean local coefficient over all vertices.
-  [[nodiscard]] double average_clustering() const;
+  [[nodiscard]] double average_clustering() const {
+    return counts_.average();
+  }
 
  private:
   const DynamicGraph& graph_;
-  std::vector<eid_t> deg_;        // self-loop-free degrees
-  std::vector<std::int64_t> tri_; // triangles through each vertex
-  std::int64_t triangles_ = 0;
-  std::int64_t wedges_ = 0;
+  TriangleCounts counts_;
 };
 
 }  // namespace snap::stream

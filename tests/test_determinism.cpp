@@ -27,6 +27,7 @@
 #include "snap/kernels/mst.hpp"
 #include "snap/kernels/pagerank.hpp"
 #include "snap/kernels/sssp.hpp"
+#include "snap/metrics/metrics.hpp"
 #include "snap/stream/streaming_graph.hpp"
 #include "snap/stream/update_batch.hpp"
 #include "snap/util/rng.hpp"
@@ -171,6 +172,27 @@ TEST(Determinism, DynamicToCsrRoundTrip) {
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
     const DynamicGraph d = DynamicGraph::from_csr(src);
     hash_csr(h, d.to_csr());
+  });
+  ASSERT_TRUE(report.deterministic) << report.to_string();
+}
+
+TEST(Determinism, TriangleCountsAndCoefficients) {
+  // Integer credits: the counts, and so the three coefficients, are
+  // identical at every thread count on both row types.
+  const CSRGraph g = rmat_graph(14, 8, 29);
+  const DynamicGraph rows = DynamicGraph::from_csr(g);
+  const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
+    for (const TriangleCounts& t :
+         {count_triangles(g), count_triangles(rows)}) {
+      h.sequence(t.degree);
+      h.sequence(t.triangles);
+      h.value(t.num_triangles);
+      h.value(t.num_wedges);
+      for (vid_t v = 0; v < static_cast<vid_t>(t.degree.size()); ++v)
+        h.value(t.local(v));
+      h.value(t.average());
+      h.value(t.global());
+    }
   });
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }

@@ -1,6 +1,6 @@
 // Tests for the future-work extensions (§6): spectral modularity
-// maximization and dynamic-network (incremental) connectivity — plus the
-// smaller engineering additions they rely on.
+// maximization — plus the smaller engineering additions it relies on.
+// Connectivity over update streams is ComponentsObserver's, in test_stream.
 #include <gtest/gtest.h>
 
 #include "snap/community/gn.hpp"
@@ -8,10 +8,7 @@
 #include "snap/community/pma.hpp"
 #include "snap/community/spectral_modularity.hpp"
 #include "snap/ds/sorted_dyn_array.hpp"
-#include "snap/ds/union_find.hpp"
 #include "snap/gen/generators.hpp"
-#include "snap/kernels/incremental_components.hpp"
-#include "snap/util/rng.hpp"
 
 namespace snap {
 namespace {
@@ -76,112 +73,6 @@ TEST(SpectralModularity, DisconnectedSplitsComponentsFirst) {
   const auto r = spectral_modularity(g);
   EXPECT_EQ(r.clustering.num_clusters, 2);
   EXPECT_NE(r.clustering.membership[0], r.clustering.membership[3]);
-}
-
-// ------------------------------------------- incremental components
-
-TEST(IncrementalComponents, InsertOnlyStreamNeverRebuilds) {
-  DynamicGraph dg(6, false);
-  IncrementalComponents ic(dg);
-  EXPECT_EQ(ic.num_components(), 6);
-  dg.insert_edge(0, 1);
-  ic.on_insert(0, 1);
-  dg.insert_edge(2, 3);
-  ic.on_insert(2, 3);
-  EXPECT_EQ(ic.num_components(), 4);
-  EXPECT_TRUE(ic.connected(0, 1));
-  EXPECT_FALSE(ic.connected(1, 2));
-  EXPECT_EQ(ic.rebuilds(), 0);
-}
-
-TEST(IncrementalComponents, DeletionGoesStaleAndRebuilds) {
-  DynamicGraph dg(4, false);
-  IncrementalComponents ic(dg);
-  dg.insert_edge(0, 1);
-  ic.on_insert(0, 1);
-  dg.insert_edge(1, 2);
-  ic.on_insert(1, 2);
-  EXPECT_TRUE(ic.connected(0, 2));
-  dg.delete_edge(1, 2);
-  ic.on_delete(1, 2);
-  EXPECT_TRUE(ic.stale());
-  EXPECT_FALSE(ic.connected(0, 2));  // triggered a rebuild
-  EXPECT_FALSE(ic.stale());
-  EXPECT_EQ(ic.rebuilds(), 1);
-}
-
-TEST(IncrementalComponents, RebuildCostAmortizesOverQueryBursts) {
-  // Regression: a burst of deletions followed by a burst of queries must cost
-  // exactly one rebuild — the stale flag defers the rebuild to the first
-  // query, and subsequent queries reuse it.
-  const vid_t n = 32;
-  DynamicGraph dg(n, false);
-  IncrementalComponents ic(dg);
-  for (vid_t v = 0; v + 1 < n; ++v) {
-    dg.insert_edge(v, v + 1);
-    ic.on_insert(v, v + 1);
-  }
-  EXPECT_EQ(ic.rebuilds(), 0);
-
-  for (int round = 1; round <= 3; ++round) {
-    // Delete several edges: still just one (deferred) rebuild pending.
-    for (vid_t v = 0; v < 4; ++v) {
-      const vid_t u = static_cast<vid_t>(8 * (round - 1)) + 2 * v;
-      dg.delete_edge(u, u + 1);
-      ic.on_delete(u, u + 1);
-    }
-    EXPECT_TRUE(ic.stale());
-    for (int q = 0; q < 100; ++q) {
-      ic.num_components();
-      ic.connected(0, n - 1);
-    }
-    EXPECT_EQ(ic.rebuilds(), round) << "one rebuild per deletion burst";
-  }
-
-  // Insert-only traffic after a rebuild folds in with no further rebuilds.
-  dg.insert_edge(0, 1);
-  ic.on_insert(0, 1);
-  for (int q = 0; q < 100; ++q) ic.num_components();
-  EXPECT_EQ(ic.rebuilds(), 3);
-}
-
-TEST(IncrementalComponents, DeletionInsideCycleKeepsConnectivity) {
-  DynamicGraph dg(3, false);
-  IncrementalComponents ic(dg);
-  for (auto [u, v] : {std::pair<vid_t, vid_t>{0, 1}, {1, 2}, {2, 0}}) {
-    dg.insert_edge(u, v);
-    ic.on_insert(u, v);
-  }
-  dg.delete_edge(0, 1);
-  ic.on_delete(0, 1);
-  EXPECT_TRUE(ic.connected(0, 1));  // still connected via 2
-  EXPECT_EQ(ic.num_components(), 1);
-}
-
-TEST(IncrementalComponents, RandomStreamMatchesReference) {
-  const vid_t n = 64;
-  DynamicGraph dg(n, false);
-  IncrementalComponents ic(dg);
-  SplitMix64 rng(13);
-  for (int step = 0; step < 2000; ++step) {
-    vid_t u = static_cast<vid_t>(rng.next_bounded(n));
-    vid_t v = static_cast<vid_t>(rng.next_bounded(n));
-    if (u == v) continue;
-    if (rng.next_bounded(4) == 0 && dg.has_edge(u, v)) {
-      dg.delete_edge(u, v);
-      ic.on_delete(u, v);
-    } else if (!dg.has_edge(u, v)) {
-      dg.insert_edge(u, v);
-      ic.on_insert(u, v);
-    }
-    if (step % 100 == 0) {
-      // Reference: components of the CSR snapshot.
-      UnionFind ref(static_cast<std::size_t>(n));
-      const auto snap_graph = dg.to_csr();
-      for (const Edge& e : snap_graph.edges()) ref.unite(e.u, e.v);
-      EXPECT_EQ(static_cast<std::size_t>(ic.num_components()), ref.num_sets());
-    }
-  }
 }
 
 // ----------------------------------------------- smaller engineering bits

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "generator_corpus.hpp"
 #include "snap/gen/generators.hpp"
+#include "snap/graph/dynamic_graph.hpp"
 #include "snap/metrics/metrics.hpp"
 #include "snap/metrics/path_length.hpp"
+#include "snap/util/parallel.hpp"
 
 namespace snap {
 namespace {
@@ -49,6 +57,191 @@ TEST(Clustering, TrianglePlusPendantKnownValues) {
   // Global: 3 triangles' worth of closed wedges / total wedges.
   // Wedges: v0 has C(3,2)=3, v1 and v2 have 1 each -> 5; closed = 3.
   EXPECT_DOUBLE_EQ(global_clustering_coefficient(g), 3.0 / 5.0);
+}
+
+// ------------------------------------------------------- triangle kernel
+
+// The oracle: the per-vertex row merges the clustering metrics ran before
+// the triangle kernel, kept verbatim.  O(Σ d²) and serial.
+
+/// Triangles incident to v, counting each once per incident pair (u, w) —
+/// i.e. the numerator of v's local clustering coefficient.  Uses sorted-
+/// adjacency merge intersection.
+eid_t wedge_closures(const CSRGraph& g, vid_t v) {
+  const auto nv = g.neighbors(v);
+  eid_t closed = 0;
+  for (vid_t u : nv) {
+    if (u == v) continue;  // self-loop arcs close no wedges
+    // |N(v) ∩ N(u)| counts w adjacent to both; each closed wedge (u, w)
+    // appears twice over the u loop, so the caller divides by 2.
+    const auto nu = g.neighbors(u);
+    std::size_t i = 0, j = 0;
+    while (i < nv.size() && j < nu.size()) {
+      if (nv[i] < nu[j]) {
+        ++i;
+      } else if (nv[i] > nu[j]) {
+        ++j;
+      } else {
+        if (nv[i] != v && nv[i] != u) ++closed;
+        ++i;
+        ++j;
+      }
+    }
+  }
+  return closed / 2;
+}
+
+/// Degree excluding self-loop arcs (a loop stores two arcs to v itself).
+/// Clustering coefficients are defined on the simple graph: loops close no
+/// wedges, so counting their arcs in the denominator deflates the ratio.
+eid_t simple_degree(const CSRGraph& g, vid_t v) {
+  const auto nv = g.neighbors(v);
+  eid_t d = static_cast<eid_t>(nv.size());
+  for (vid_t u : nv)
+    if (u == v) --d;
+  return d;
+}
+
+struct OracleCounts {
+  std::vector<eid_t> degree;
+  std::vector<eid_t> triangles;
+  eid_t closed = 0;  ///< Σ triangles over vertices: three per triangle
+  eid_t wedges = 0;
+  std::vector<double> local;
+  double average = 0;
+  double global = 0;
+};
+
+/// The former bodies of the three metric functions, run serially.
+OracleCounts oracle_counts(const CSRGraph& g) {
+  const vid_t n = g.num_vertices();
+  OracleCounts o;
+  o.local.assign(static_cast<std::size_t>(n), 0.0);
+  for (vid_t v = 0; v < n; ++v) {
+    const eid_t d = simple_degree(g, v);
+    const eid_t closed = wedge_closures(g, v);
+    o.degree.push_back(d);
+    o.triangles.push_back(closed);
+    if (d < 2) continue;
+    o.local[static_cast<std::size_t>(v)] =
+        2.0 * static_cast<double>(closed) /
+        (static_cast<double>(d) * static_cast<double>(d - 1));
+    o.closed += closed;
+    o.wedges += d * (d - 1) / 2;
+  }
+  double sum = 0;
+  for (double c : o.local) sum += c;
+  o.average = o.local.empty() ? 0 : sum / static_cast<double>(o.local.size());
+  o.global = o.wedges == 0 ? 0.0
+                           : static_cast<double>(o.closed) /
+                                 static_cast<double>(o.wedges);
+  return o;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_matches_oracle(const TriangleCounts& t, const OracleCounts& o,
+                           const std::string& what) {
+  ASSERT_EQ(t.degree, o.degree) << what;
+  ASSERT_EQ(t.triangles.size(), o.triangles.size()) << what;
+  for (std::size_t v = 0; v < o.triangles.size(); ++v)
+    ASSERT_EQ(t.triangles[v], o.triangles[v]) << what << " v " << v;
+  ASSERT_EQ(3 * t.num_triangles, o.closed) << what;
+  ASSERT_EQ(t.num_wedges, o.wedges) << what;
+  for (std::size_t v = 0; v < o.local.size(); ++v)
+    ASSERT_EQ(bits(t.local(static_cast<vid_t>(v))), bits(o.local[v]))
+        << what << " v " << v;
+  ASSERT_EQ(bits(t.average()), bits(o.average)) << what;
+  ASSERT_EQ(bits(t.global()), bits(o.global)) << what;
+}
+
+/// The generator corpus (its directed R-MAT as its undirected twin: the
+/// kernel's contract is undirected) plus the degenerate and self-loop cases.
+std::vector<std::pair<std::string, CSRGraph>> triangle_inputs() {
+  auto out = test::generator_corpus();
+  for (auto& [name, g] : out)
+    if (g.directed()) g = g.as_undirected();
+  out.emplace_back("k5", gen::complete_graph(5));
+  out.emplace_back("n0", CSRGraph::from_edges(0, {}, false));
+  out.emplace_back("isolated_vertices",
+                   CSRGraph::from_edges(12,
+                                        {{0, 1, 1.0},
+                                         {1, 2, 1.0},
+                                         {0, 2, 1.0},
+                                         {2, 3, 1.0},
+                                         {7, 9, 1.0}},
+                                        false));
+  // Self loops kept by the builder: two row entries per loop.
+  {
+    const CSRGraph base = gen::watts_strogatz(600, 6, 0.1, 4);
+    EdgeList edges = base.edges().to_list();
+    for (vid_t v = 0; v < base.num_vertices(); v += 7)
+      edges.push_back({v, v, 1.0});
+    BuildOptions opts;
+    opts.remove_self_loops = false;
+    out.emplace_back("from_edges_self_loops",
+                     CSRGraph::from_edges(base.num_vertices(), edges, false,
+                                          opts));
+  }
+  // A streaming snapshot with self loops (one row entry per loop in the
+  // DynamicGraph, two in its to_csr image).
+  {
+    gen::RmatParams p;
+    p.scale = 10;
+    p.edge_factor = 8;
+    p.seed = 17;
+    DynamicGraph d = DynamicGraph::from_csr(gen::rmat(p));
+    for (vid_t v = 0; v < d.num_vertices(); v += 7) d.insert_edge(v, v);
+    out.emplace_back("to_csr_self_loops", d.to_csr());
+  }
+  return out;
+}
+
+TEST(TriangleKernel, MatchesMergeOracleOnBothRowTypesAtEveryThreadCount) {
+  for (const auto& [name, g] : triangle_inputs()) {
+    if (name.ends_with("self_loops")) {
+      eid_t loop_arcs = 0;
+      for (vid_t v = 0; v < g.num_vertices(); ++v)
+        for (const vid_t u : g.neighbors(v)) loop_arcs += u == v ? 1 : 0;
+      ASSERT_GT(loop_arcs, 0) << name;
+    }
+    const OracleCounts o = oracle_counts(g);
+    const DynamicGraph rows = DynamicGraph::from_csr(g);
+    for (const int t : {1, 2, 4, 8}) {
+      parallel::ThreadScope scope(t);
+      const std::string what = name + " threads " + std::to_string(t);
+      expect_matches_oracle(count_triangles(g), o, what + " csr");
+      expect_matches_oracle(count_triangles(rows), o, what + " rows");
+      const auto local = local_clustering_coefficients(g);
+      ASSERT_EQ(local.size(), o.local.size()) << what;
+      for (std::size_t v = 0; v < local.size(); ++v)
+        ASSERT_EQ(bits(local[v]), bits(o.local[v])) << what << " v " << v;
+      ASSERT_EQ(bits(average_clustering_coefficient(g)), bits(o.average))
+          << what;
+      ASSERT_EQ(bits(global_clustering_coefficient(g)), bits(o.global))
+          << what;
+    }
+  }
+}
+
+TEST(TriangleKernel, SelfLoopEntriesLeaveDegreesLoopFree) {
+  // Triangle 0-1-2 with a loop at 0: the CSR row of 0 holds 0 twice, the
+  // DynamicGraph row once; both report degree 2 and one triangle.
+  BuildOptions opts;
+  opts.remove_self_loops = false;
+  const CSRGraph g = CSRGraph::from_edges(
+      3, {{0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}, {0, 0, 1.0}}, false, opts);
+  ASSERT_EQ(g.degree(0), 4);
+  const DynamicGraph rows = DynamicGraph::from_csr(g);
+  ASSERT_EQ(rows.degree(0), 3);
+  for (const TriangleCounts& t : {count_triangles(g), count_triangles(rows)}) {
+    EXPECT_EQ(t.degree, (std::vector<eid_t>{2, 2, 2}));
+    EXPECT_EQ(t.triangles, (std::vector<std::int64_t>{1, 1, 1}));
+    EXPECT_EQ(t.num_triangles, 1);
+    EXPECT_EQ(t.num_wedges, 3);
+    EXPECT_EQ(t.global(), 1.0);
+    EXPECT_EQ(t.average(), 1.0);
+  }
 }
 
 TEST(RichClub, CompleteGraphAllOnes) {

@@ -185,14 +185,20 @@ void run_differential(const CSRGraph& base,
       }
       ASSERT_EQ(deg.max_degree(), want_max) << "max degree @batch " << b;
     }
-    // Clustering vs the static metrics on the (self-loop-free) snapshot.
+    // Clustering vs the static metrics and the triangle kernel on the
+    // snapshot (self loops included): one formula set serves both sides, so
+    // the values are bitwise equal.
     if (cc) {
-      ASSERT_NEAR(cc->global_clustering(),
-                  global_clustering_coefficient(want), 1e-9)
+      ASSERT_EQ(cc->global_clustering(), global_clustering_coefficient(want))
           << "global cc @batch " << b;
-      ASSERT_NEAR(cc->average_clustering(),
-                  average_clustering_coefficient(want), 1e-9)
+      ASSERT_EQ(cc->average_clustering(), average_clustering_coefficient(want))
           << "average cc @batch " << b;
+      const TriangleCounts tc = count_triangles(want);
+      ASSERT_EQ(cc->triangles(), tc.num_triangles) << "@batch " << b;
+      for (vid_t v = 0; v < want.num_vertices(); ++v)
+        ASSERT_EQ(cc->triangles_at(v),
+                  tc.triangles[static_cast<std::size_t>(v)])
+            << "triangles @batch " << b << " v " << v;
     }
   }
 }
